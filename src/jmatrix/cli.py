@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import os
 import sys
@@ -21,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, jacspec, lame, morse, opfamilies, verify
-from .errors import InternalConsistencyError, JMatrixError
+from .errors import InternalConsistencyError, JMatrixError, ValidationError
 from .opfamilies import Family
 from .polycore import (
     Mode,
@@ -67,7 +68,10 @@ def _jsonable(value):
 
 
 def _emit(report: dict, args, csv_rows=None) -> None:
-    out = sys.stdout if args.output is None else open(args.output, "w")
+    try:
+        out = sys.stdout if args.output is None else open(args.output, "w")
+    except OSError as exc:
+        raise ValidationError(f"cannot write report to {args.output}: {exc.strerror}") from None
     try:
         if args.out == "json":
             json.dump(_jsonable(report), out, indent=2)
@@ -100,12 +104,20 @@ def _base_report(args, command: str, inputs: dict) -> dict:
 
 
 def _parse_b(text: str, mode: str):
+    """b as a Fraction in exact mode, else as a float; finite as a float either way."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         if mode == "exact":
             raise _UsageError(f"exact mode needs a rational b, got {text!r}")
-        return float(text)
+        value = float(text)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise _UsageError(f"--b must be finite as a float, got {text!r}")
+    return value if mode == "exact" else float(value)
 
 
 def _cmd_tridiag(args) -> int:
@@ -131,10 +143,7 @@ def _cmd_tridiag(args) -> int:
 
 
 def _cmd_morse(args) -> int:
-    if args.mode == "exact":
-        model = morse.build_morse_model(_parse_b(args.b, "exact"))
-    else:
-        model = morse.build_morse_model(float(_parse_b(args.b, "float")))
+    model = morse.build_morse_model(_parse_b(args.b, args.mode))
     report = _base_report(args, "morse", {"b": args.b})
     report["results"]["model"] = {"b": model.b, "N": model.N}
     csv_rows = None

@@ -15,7 +15,16 @@ class ValidationError(JMatrixError, ValueError):
 
 
 class ConvergenceError(JMatrixError, RuntimeError):
-    """An iterative scheme hit its cap without meeting its tolerance."""
+    """An iterative scheme hit its cap without meeting its tolerance.
+
+    Keyword arguments record the scheme's last state; each becomes an
+    attribute and all are kept together in ``state``.
+    """
+
+    def __init__(self, message: str, **state):
+        super().__init__(message)
+        self.state = state
+        self.__dict__.update(state)
 
 
 class InternalConsistencyError(JMatrixError, RuntimeError):

@@ -41,7 +41,8 @@ __all__ = [
     "berezanskii_test",
 ]
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+_QL_SWEEPS_PER_ROW = 30
 
 
 @dataclass(frozen=True)
@@ -152,31 +153,53 @@ def split_blocks(J: JacobiOperator, scan_to: int, tol: float = 1e-12) -> BlockDe
     )
 
 
-def symmetric_tridiagonal_eig(diag: Sequence[float], off: Sequence[float]):
+def symmetric_tridiagonal_eig(diag: Sequence[float], off: Sequence[float], vectors: str = "all"):
     """Implicit-shift QL eigendecomposition of a symmetric tridiagonal matrix.
 
+    One QL loop serves two kinds of caller, which differ only in what each
+    Givens rotation updates.  ``vectors="all"`` rotates two eigenvector
+    rows of an n-by-n array, O(n) work per rotation and O(n^3) in all, for
+    callers that need whole eigenvectors.  ``vectors="first"`` rotates two
+    of the n first eigenvector components, held as Python floats, O(1) per
+    rotation and O(n^2) in all: that is all a Gauss rule needs (Golub and
+    Welsch, Math. Comp. 23, 1969).  The rotations and their order do not
+    depend on ``vectors``, so both give the same eigenvalues bit for bit.
+
     Args:
-        diag: diagonal entries, length n.
-        off: subdiagonal entries, length n - 1.
+        diag: diagonal entries, length n, finite.
+        off: subdiagonal entries, length n - 1, finite.
+        vectors: "all" or "first".
 
     Returns:
-        (w, V): ascending eigenvalues and the orthogonal matrix whose
-        columns are the corresponding eigenvectors.
+        (w, V): ascending eigenvalues and, for "all", the orthogonal matrix
+        whose columns are the corresponding eigenvectors; for "first", the
+        first row of that matrix.
 
     Raises:
-        ConvergenceError: if the global rotation budget (30 * n sweeps)
-            is exhausted, which signals pathological input.
+        ValidationError: if ``off`` does not have length n - 1, an entry is
+            not finite, or ``vectors`` is unknown.
+        ConvergenceError: if the sweep budget (30 * n) is exhausted, which
+            signals pathological input.  It carries the index being
+            deflated (``index``), ``sweeps`` against ``budget``, and the
+            off-diagonal magnitude |e[index]| that failed to vanish
+            (``off_diagonal``).
     """
-    d = np.asarray(diag, dtype=float).copy()
-    n = d.size
+    if vectors not in ("all", "first"):
+        raise ValidationError(f"vectors must be 'all' or 'first', got {vectors!r}")
+    n = len(diag)
     if n == 0:
-        return np.empty(0), np.empty((0, 0))
-    e = np.zeros(n)
-    e[: n - 1] = np.asarray(off, dtype=float)
+        return np.empty(0), np.empty((0, 0) if vectors == "all" else 0)
     if len(off) != n - 1:
-        raise ValidationError("off-diagonal must have length n - 1")
-    V = np.eye(n)
-    budget = 30 * n
+        raise ValidationError(f"off-diagonal must have length n - 1 = {n - 1}, got {len(off)}")
+    d = [float(v) for v in diag]
+    e = [float(v) for v in off] + [0.0]
+    if not all(map(math.isfinite, d + e)):
+        raise ValidationError("diagonal and off-diagonal entries must be finite")
+    # Z[j] is what rotations update for eigenvector j: the whole vector
+    # (row j of an array) or its first component (a float).
+    Z = np.eye(n) if vectors == "all" else [1.0] + [0.0] * (n - 1)
+    budget = _QL_SWEEPS_PER_ROW * n
+    sweeps = 0
     for l in range(n):
         while True:
             m = l
@@ -184,9 +207,16 @@ def symmetric_tridiagonal_eig(diag: Sequence[float], off: Sequence[float]):
                 m += 1
             if m == l:
                 break
-            budget -= 1
-            if budget < 0:
-                raise ConvergenceError("QL iteration cap exceeded")
+            if sweeps == budget:
+                raise ConvergenceError(
+                    f"QL iteration cap exceeded: {sweeps} of {budget} sweeps used, "
+                    f"index {l} still has |e| = {abs(e[l]):.3e}",
+                    index=l,
+                    sweeps=sweeps,
+                    budget=budget,
+                    off_diagonal=abs(e[l]),
+                )
+            sweeps += 1
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
             r = math.hypot(g, 1.0)
             g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
@@ -210,15 +240,16 @@ def symmetric_tridiagonal_eig(diag: Sequence[float], off: Sequence[float]):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - bb
-                col = V[:, i + 1].copy()
-                V[:, i + 1] = s * V[:, i] + c * col
-                V[:, i] = c * V[:, i] - s * col
+                Z[i + 1], Z[i] = s * Z[i] + c * Z[i + 1], c * Z[i] - s * Z[i + 1]
             if not underflow:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
     order = np.argsort(d, kind="stable")
-    return d[order], V[:, order]
+    w = np.array(d)[order]
+    if vectors == "first":
+        return w, np.array(Z)[order]
+    return w, Z[order].T
 
 
 def eig_block(J: JacobiOperator, block: tuple[int, int]) -> SpectrumResult:
@@ -325,7 +356,9 @@ def golub_welsch(J: JacobiOperator, n: int, total_mass: float) -> QuadratureRule
     """Gauss rule from the n-by-n truncation of a Jacobi operator.
 
     Nodes are the truncation's eigenvalues; the weight at node i is
-    total_mass times the squared first component of its eigenvector.
+    total_mass times the squared first component of its eigenvector.  The
+    QL solver rotates only those first components, so a rule costs O(n^2)
+    work where full eigenvectors would cost O(n^3).
     """
     if n < 1:
         raise ValidationError("rule size must be at least 1")
@@ -333,8 +366,8 @@ def golub_welsch(J: JacobiOperator, n: int, total_mass: float) -> QuadratureRule
     e = [float(J.a_at(i)) for i in range(n - 1)]
     if any(v <= 0 for v in e):
         raise ValidationError("Golub-Welsch requires positive off-diagonal entries")
-    w, V = symmetric_tridiagonal_eig(d, e)
-    weights = total_mass * V[0, :] ** 2
+    w, first = symmetric_tridiagonal_eig(d, e, vectors="first")
+    weights = total_mass * first ** 2
     return QuadratureRule(nodes=w, weights=weights, total_mass=float(total_mass))
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from jmatrix.cli import main
 
 
@@ -29,6 +31,14 @@ class TestMorseCommand:
 
     def test_half_integer_is_usage_error(self, capsys):
         assert main(["morse", "--b", "1.5", "--levels"]) == 1
+
+    @pytest.mark.parametrize(
+        "mode, b", [("float", "inf"), ("float", "-inf"), ("float", "nan"), ("float", "1e400"), ("exact", "1e400")]
+    )
+    def test_non_finite_b_is_usage_error(self, capsys, mode, b):
+        assert main(["--mode", mode, "morse", f"--b={b}", "--levels"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "finite" in err and err.count("\n") == 1
 
     def test_csv_levels(self, capsys):
         status = main(["--out", "csv", "morse", "--b", "2.25", "--levels"])
@@ -134,3 +144,11 @@ class TestDeterminism:
         status = main(["--output", str(path), "morse", "--b", "2.25", "--levels"])
         assert status == 0
         assert json.loads(path.read_text())["command"] == "morse"
+
+    def test_output_into_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.json"
+        status = main(["--output", str(path), "morse", "--b", "2.25", "--levels"])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "No such file or directory" in err
+        assert err.count("\n") == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jmatrix import jacspec
-from jmatrix.errors import ValidationError
+from jmatrix.errors import ConvergenceError, ValidationError
 from jmatrix.jacspec import (
     JacobiOperator,
     QuadratureRule,
@@ -20,7 +20,7 @@ from jmatrix.jacspec import (
     split_blocks,
     symmetric_tridiagonal_eig,
 )
-from jmatrix.opfamilies import Family, family_jacobi_operator
+from jmatrix.opfamilies import Family, FamilyKind, family_jacobi_operator
 
 
 def const_op(a_seq, b_seq):
@@ -109,6 +109,39 @@ class TestEigBlock:
         assert np.max(np.abs(np.array(w1) - np.array(w2))) <= 1e-11
 
 
+class TestEigInputs:
+    @pytest.mark.parametrize("off", [[], [1.0, 2.0, 3.0]])
+    def test_off_diagonal_length_checked(self, off):
+        with pytest.raises(ValidationError, match="length n - 1 = 2"):
+            symmetric_tridiagonal_eig([1.0, 2.0, 3.0], off)
+
+    @pytest.mark.parametrize(
+        "diag, off",
+        [([math.nan, 2.0], [1.0]), ([1.0, math.inf], [1.0]), ([1.0, 2.0], [-math.inf]), ([1.0, 2.0], [math.nan])],
+    )
+    def test_non_finite_rejected(self, diag, off):
+        with pytest.raises(ValidationError, match="finite"):
+            symmetric_tridiagonal_eig(diag, off)
+
+    def test_unknown_vectors_mode(self):
+        with pytest.raises(ValidationError, match="vectors"):
+            symmetric_tridiagonal_eig([1.0, 2.0], [1.0], vectors="last")
+
+    def test_empty(self):
+        w, V = symmetric_tridiagonal_eig([], [])
+        assert w.shape == (0,) and V.shape == (0, 0)
+        w, first = symmetric_tridiagonal_eig([], [], vectors="first")
+        assert w.shape == (0,) and first.shape == (0,)
+
+    def test_convergence_error_carries_state(self, monkeypatch):
+        monkeypatch.setattr(jacspec, "_QL_SWEEPS_PER_ROW", 0)
+        with pytest.raises(ConvergenceError, match="0 of 0 sweeps") as info:
+            symmetric_tridiagonal_eig([1.0, 2.0, 3.0], [0.5, 0.5])
+        err = info.value
+        assert err.state == {"index": 0, "sweeps": 0, "budget": 0, "off_diagonal": 0.5}
+        assert (err.index, err.sweeps, err.budget, err.off_diagonal) == (0, 0, 0, 0.5)
+
+
 class TestEvalPn:
     def test_p0_and_p1(self):
         J = const_op([2.0, 1.0], [0.5, 0.0, 0.0])
@@ -164,6 +197,35 @@ class TestGolubWelsch:
         J = JacobiOperator(a=lambda n: -1.0, b=lambda n: 0.0)
         with pytest.raises(ValidationError):
             golub_welsch(J, 3, 1.0)
+
+    @pytest.mark.parametrize("n", [16, 100, 256])
+    @pytest.mark.parametrize(
+        "family",
+        [Family.jacobi(Fraction(1, 2), Fraction(-1, 4)), Family.laguerre(Fraction(3, 4)),
+         Family.hermite(), Family.chebyshev_t()],
+        ids=["jacobi", "laguerre", "hermite", "chebyshev_t"],
+    )
+    def test_first_row_path_matches_full_vectors(self, family, n):
+        # the rule rotates only first components; the rotations are the
+        # same as in the full-vector solve, so the results agree bit for bit
+        J, mass = family_jacobi_operator(family)
+        d = [float(J.b_at(i)) for i in range(n)]
+        e = [float(J.a_at(i)) for i in range(n - 1)]
+        w, V = symmetric_tridiagonal_eig(d, e)
+        w_first, first = symmetric_tridiagonal_eig(d, e, vectors="first")
+        assert np.array_equal(w_first, w) and np.array_equal(first, V[0])
+        if family.kind is FamilyKind.LAGUERRE and n == 256:
+            return  # its smallest weights underflow to 0, so there is no rule
+        rule = golub_welsch(J, n, mass)
+        assert np.array_equal(rule.nodes, w)
+        assert np.array_equal(rule.weights, mass * V[0] ** 2)
+
+    def test_legendre_1000_against_numpy(self):
+        J, mass = family_jacobi_operator(Family.jacobi(0, 0))
+        rule = golub_welsch(J, 1000, mass)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(1000)
+        assert np.max(np.abs(rule.nodes - x_ref)) <= 1e-14
+        assert np.max(np.abs(rule.weights - w_ref) / w_ref) <= 1e-8
 
     def test_rule_validation(self):
         with pytest.raises(ValidationError):
