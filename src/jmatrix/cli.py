@@ -103,20 +103,21 @@ def _base_report(args, command: str, inputs: dict) -> dict:
     }
 
 
-def _parse_b(text: str, mode: str):
-    """b as a Fraction in exact mode, else as a float; finite as a float either way."""
+def _parse_scalar_arg(text: str, mode: str, flag: str):
+    """A scalar flag value: a Fraction in exact mode (decimals read as
+    rationals), else a float; finite as a float either way."""
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         if mode == "exact":
-            raise _UsageError(f"exact mode needs a rational b, got {text!r}")
+            raise _UsageError(f"exact mode needs a rational {flag}, got {text!r}")
         value = float(text)
     try:
         finite = math.isfinite(value)
     except OverflowError:
         finite = False
     if not finite:
-        raise _UsageError(f"--b must be finite as a float, got {text!r}")
+        raise _UsageError(f"{flag} must be finite as a float, got {text!r}")
     return value if mode == "exact" else float(value)
 
 
@@ -126,7 +127,7 @@ def _cmd_tridiag(args) -> int:
     B = parse_polynomial(args.B, mode)
     C = parse_polynomial(args.C, mode)
     if args.q is not None:
-        S = q_derivative_op(Fraction(args.q) if mode is Mode.EXACT else float(Fraction(args.q)))
+        S = q_derivative_op(_parse_scalar_arg(args.q, args.mode, "--q"))
         T = compose(S, S)
     else:
         S, T = derivative_op(), second_derivative_op()
@@ -143,7 +144,7 @@ def _cmd_tridiag(args) -> int:
 
 
 def _cmd_morse(args) -> int:
-    model = morse.build_morse_model(_parse_b(args.b, args.mode))
+    model = morse.build_morse_model(_parse_scalar_arg(args.b, args.mode, "--b"))
     report = _base_report(args, "morse", {"b": args.b})
     report["results"]["model"] = {"b": model.b, "N": model.N}
     csv_rows = None
@@ -179,7 +180,7 @@ def _cmd_morse(args) -> int:
     if args.residual is not None:
         grid = morse.DEFAULT_SAMPLE_GRID
         if args.grid is not None:
-            grid = tuple(float(Fraction(tok)) for tok in args.grid.split(","))
+            grid = tuple(float(_parse_scalar_arg(tok, args.mode, "--grid")) for tok in args.grid.split(","))
         worst = max(morse.action_residual(model, k, samples=grid) for k in range(args.residual + 1))
         report["results"]["action_residual"] = {
             "n_max": args.residual,
@@ -195,13 +196,8 @@ def _cmd_lame(args) -> int:
     parts = args.e.split(",")
     if len(parts) != 3:
         raise _UsageError("--e needs three comma-separated branch values")
-    if args.mode == "exact":
-        es = [Fraction(p) for p in parts]
-        m = Fraction(args.m)
-    else:
-        es = [float(Fraction(p)) for p in parts]
-        m = float(Fraction(args.m))
-    model = lame.build_lame_model(*es, m)
+    es = [_parse_scalar_arg(p, args.mode, "--e") for p in parts]
+    model = lame.build_lame_model(*es, _parse_scalar_arg(args.m, args.mode, "--m"))
     report = _base_report(args, "lame", {"e": args.e, "m": args.m})
     report["results"]["model"] = {
         "e": list(model.e),
@@ -262,7 +258,7 @@ def _cmd_families(args) -> int:
             rows.append({"n": n, "u": u, "v": v, "w": w})
         report["results"]["recurrence"] = rows
     if args.eval is not None:
-        x = Fraction(args.eval) if args.mode == "exact" else float(Fraction(args.eval))
+        x = _parse_scalar_arg(args.eval, args.mode, "--eval")
         report["results"]["values"] = [
             {"n": n, "value": opfamilies.eval_family(fam, n, x)} for n in range(args.n + 1)
         ]

@@ -6,6 +6,13 @@ evaluation of the associated recurrence polynomials, Gauss quadrature by
 the Golub-Welsch construction, adaptive integration helpers, and the
 boundedness heuristic used as a self-adjointness diagnostic.
 
+Every three-term recurrence in the package, x p_n = u_n p_{n+1} + v_n p_n
++ w_n p_{n-1}, runs through one kernel here: ``_recurrence`` for the
+values (exact, float or numpy, since it uses only + - * /) and
+``_recurrence_log`` for (sign, log|p_n|) pairs.  This module imports only
+``errors``, so ``opfamilies`` and ``morse`` call the kernel without an
+import cycle.
+
 Operations here are pure over immutable inputs; distinct blocks may be
 solved concurrently.  Sequence generators supplied to JacobiOperator must
 be safe for concurrent evaluation.
@@ -280,6 +287,55 @@ def eig_block(J: JacobiOperator, block: tuple[int, int]) -> SpectrumResult:
     return SpectrumResult(w, V, block)
 
 
+def _recurrence(coeffs, x, n_max: int) -> list:
+    """p_0(x) .. p_{n_max}(x) of x p_n = u_n p_{n+1} + v_n p_n + w_n p_{n-1}.
+
+    ``coeffs(n)`` returns (u_n, v_n, w_n); p_{-1} = 0 and p_0 = x ** 0, the
+    one of x's type, so Fractions, floats and numpy arrays pass through.
+
+    Raises:
+        ValidationError: if some u_n with n < n_max vanishes.
+    """
+    prev, cur = 0, x ** 0
+    values = [cur]
+    for n in range(n_max):
+        u, v, w = coeffs(n)
+        if u == 0:
+            raise ValidationError(f"recurrence breaks at index {n}: u_{n} vanishes")
+        prev, cur = cur, ((x - v) * cur - w * prev) / u
+        values.append(cur)
+    return values
+
+
+def _recurrence_log(coeffs, x: float, n_max: int) -> list[tuple[float, float]]:
+    """(sign, log|p_n(x)|) for n = 0 .. n_max, by the recurrence of ``_recurrence``.
+
+    The two latest values are divided by their magnitude whenever it
+    exceeds 1e120 and the logarithm of the divisor is carried, so large n
+    cannot overflow.  A zero value gives (0.0, -inf).
+    """
+    prev, cur, shift = 0.0, 1.0, 0.0
+    out = [(1.0, 0.0)]
+    for n in range(n_max):
+        u, v, w = coeffs(n)
+        if u == 0:
+            raise ValidationError(f"recurrence breaks at index {n}: u_{n} vanishes")
+        nxt = ((x - v) * cur - w * prev) / u
+        mag = max(abs(nxt), abs(cur))
+        if mag > 1e120:
+            nxt /= mag
+            cur /= mag
+            shift += math.log(mag)
+        prev, cur = cur, nxt
+        out.append((math.copysign(1.0, nxt), math.log(abs(nxt)) + shift) if nxt != 0.0 else (0.0, -math.inf))
+    return out
+
+
+def _jacobi_coeffs(J: JacobiOperator):
+    """Kernel coefficients (a_n, b_n, a_{n-1}) of a symmetric Jacobi operator."""
+    return lambda n: (float(J.a_at(n)), float(J.b_at(n)), float(J.a_at(n - 1)))
+
+
 def eval_pn(J: JacobiOperator, z: float, n_max: int) -> list[float]:
     """Forward recurrence values p_0(z) .. p_{n_max}(z), p_0 = 1.
 
@@ -289,37 +345,24 @@ def eval_pn(J: JacobiOperator, z: float, n_max: int) -> list[float]:
         ValidationError: if an off-diagonal entry vanishes before n_max
             (the recurrence cannot be continued; the index is reported).
     """
-    values = [1.0]
-    prev, cur = 0.0, 1.0
-    for n in range(n_max):
-        a_n = float(J.a_at(n))
-        if a_n == 0.0:
-            raise ValidationError(f"off-diagonal vanishes at index {n}; recurrence breaks")
-        nxt = ((z - float(J.b_at(n))) * cur - (float(J.a_at(n - 1)) if n > 0 else 0.0) * prev) / a_n
-        values.append(nxt)
-        prev, cur = cur, nxt
-    return values
+    return _recurrence(_jacobi_coeffs(J), z, n_max)
 
 
 def eval_pn_scaled(J: JacobiOperator, z: float, n_max: int) -> list[tuple[float, float]]:
     """Log-scaled recurrence values: (sign, log|p_n|) pairs, safe for large n."""
-    out = [(1.0, 0.0)]
-    prev, cur = 0.0, 1.0
-    shift = 0.0  # accumulated log scale
-    for n in range(n_max):
-        a_n = float(J.a_at(n))
-        if a_n == 0.0:
-            raise ValidationError(f"off-diagonal vanishes at index {n}; recurrence breaks")
-        nxt = ((z - float(J.b_at(n))) * cur - (float(J.a_at(n - 1)) if n > 0 else 0.0) * prev) / a_n
-        mag = max(abs(nxt), abs(cur))
-        if mag > 1e120:
-            nxt /= mag
-            cur /= mag
-            shift += math.log(mag)
-        prev, cur = cur, nxt
-        sign = math.copysign(1.0, nxt) if nxt != 0.0 else 0.0
-        out.append((sign, (math.log(abs(nxt)) + shift) if nxt != 0.0 else -math.inf))
-    return out
+    return _recurrence_log(_jacobi_coeffs(J), z, n_max)
+
+
+def _sample(f, xs: np.ndarray) -> np.ndarray:
+    """f at the points xs: one vectorised call if f maps xs to an array of
+    its shape, else one call per point."""
+    try:
+        vals = np.asarray(f(xs), dtype=float)
+        if vals.shape == xs.shape:
+            return vals
+    except Exception:
+        pass
+    return np.array([float(f(x)) for x in xs])
 
 
 @dataclass(frozen=True)
@@ -338,13 +381,7 @@ class QuadratureRule:
             raise ValidationError("weights do not sum to the declared total mass")
 
     def integrate(self, f) -> float:
-        try:
-            vals = np.asarray(f(self.nodes), dtype=float)
-            if vals.shape != self.nodes.shape:
-                raise TypeError
-        except Exception:
-            vals = np.array([float(f(x)) for x in self.nodes])
-        return float(np.dot(self.weights, vals))
+        return float(np.dot(self.weights, _sample(f, self.nodes)))
 
     def inner(self, p, q) -> float:
         """Inner product of two polynomial-like callables under this rule."""
@@ -399,12 +436,7 @@ def _composite_gauss(f, lo: float, hi: float, panels: int, order: int) -> tuple[
     total_abs = 0.0
     for i in range(panels):
         rule = gauss_legendre_rule(order, edges[i], edges[i + 1])
-        try:
-            vals = np.asarray(f(rule.nodes), dtype=float)
-            if vals.shape != rule.nodes.shape:
-                raise TypeError
-        except Exception:
-            vals = np.array([float(f(x)) for x in rule.nodes])
+        vals = _sample(f, rule.nodes)
         total += float(np.dot(rule.weights, vals))
         total_abs += float(np.dot(rule.weights, np.abs(vals)))
     return total, total_abs
@@ -457,11 +489,7 @@ def halfline_integrate(
     T = lo + t0
     peak = 0.0
     for _ in range(max_extensions):
-        samples = np.linspace(lo, T, 65)[1:]
-        try:
-            mags = np.abs(np.asarray(f(samples), dtype=float))
-        except Exception:
-            mags = np.array([abs(float(f(x))) for x in samples])
+        mags = np.abs(_sample(f, np.linspace(lo, T, 65)[1:]))
         peak = max(peak, float(np.max(mags)))
         tail = float(np.max(mags[-4:]))
         if peak > 0 and tail <= envelope_drop * peak:

@@ -19,14 +19,15 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from . import jacspec, opfamilies
 from .errors import InternalConsistencyError, ValidationError
 from .gammafn import gammaln_real
-from .jacspec import JacobiOperator, SpectrumResult
-from .opfamilies import Family, pochhammer
+from .jacspec import JacobiOperator, SpectrumResult, _recurrence, _recurrence_log
+from .opfamilies import Family, pochhammer, recurrence_coeffs
 from .polycore import Mode, Polynomial, derivative_op, second_derivative_op
 from .tdop import TDOperator, validate_td
 
@@ -87,16 +88,19 @@ def build_morse_model(b) -> MorseModel:
     pipeline only.
 
     Raises:
-        ValidationError: if b <= 0 or b lies in 1/2 + N (the basis and the
-            expansion data degenerate there; such models are rejected, not
-            guessed).
+        ValidationError: if b is not finite as a float, b <= 0, or b lies in
+            1/2 + N (the basis and the expansion data degenerate there; such
+            models are rejected, not guessed).
     """
     exact: Fraction | None = None
-    if isinstance(b, str):
+    if isinstance(b, (str, Fraction, numbers.Integral)):
         exact = Fraction(b)
-    elif isinstance(b, (Fraction, numbers.Integral)):
-        exact = Fraction(b)
-    bf = float(exact) if exact is not None else float(b)
+    try:
+        bf = float(exact) if exact is not None else float(b)
+    except OverflowError:
+        bf = math.inf
+    if not math.isfinite(bf):
+        raise ValidationError(f"b must be finite, got {b!r}")
     if bf <= 0:
         raise ValidationError("b must be positive")
     if exact is not None:
@@ -206,33 +210,9 @@ def bound_states(model: MorseModel) -> SpectrumResult:
     return result
 
 
-def _laguerre_values(n: int, alpha: float, z: float) -> dict[int, float]:
-    """Plain forward-recurrence values L_j(z) for j = -2 .. n (zeros below 0)."""
-    vals = {-2: 0.0, -1: 0.0, 0: 1.0}
-    if n >= 1:
-        vals[1] = 1.0 + alpha - z
-    for k in range(1, n):
-        vals[k + 1] = ((2 * k + alpha + 1 - z) * vals[k] - (k + alpha) * vals[k - 1]) / (k + 1)
-    return vals
-
-
-def _laguerre_log(n: int, alpha: float, z: float) -> tuple[float, float]:
-    """(sign, log|L_n(z)|) via a rescaled recurrence."""
-    prev, cur = 0.0, 1.0
-    shift = 0.0
-    if n >= 1:
-        prev, cur = 1.0, 1.0 + alpha - z
-    for k in range(1, n):
-        nxt = ((2 * k + alpha + 1 - z) * cur - (k + alpha) * prev) / (k + 1)
-        mag = max(abs(nxt), abs(cur))
-        if mag > 1e120:
-            nxt /= mag
-            cur /= mag
-            shift += math.log(mag)
-        prev, cur = cur, nxt
-    if cur == 0.0:
-        return 0.0, -math.inf
-    return math.copysign(1.0, cur), math.log(abs(cur)) + shift
+def _laguerre_coeffs(model: MorseModel):
+    """Kernel coefficients (-(n+1), 2n+alpha+1, -(n+alpha)) of L_n^(alpha)(z)."""
+    return partial(recurrence_coeffs, Family.laguerre(model.alpha))
 
 
 def _log_norm(model: MorseModel, n: int) -> float:
@@ -262,7 +242,7 @@ def eval_basis_log(model: MorseModel, n: int, x: float) -> tuple[float, float]:
         raise ValidationError("basis index must be nonnegative")
     z = 2.0 * model.b * math.exp(-x)
     p = model.b - model.N + 0.5
-    sign, log_l = _laguerre_log(n, model.alpha, z)
+    sign, log_l = _recurrence_log(_laguerre_coeffs(model), z, n)[-1]
     if sign == 0.0:
         return 0.0, -math.inf
     total = _log_norm(model, n) - p * x - 0.5 * z + log_l
@@ -280,11 +260,13 @@ def action_residual(model: MorseModel, n: int, samples=DEFAULT_SAMPLE_GRID) -> f
         raise ValidationError("index must be nonnegative")
     b, N, alpha = model.b, model.N, model.alpha
     p = b - N + 0.5
+    laguerre = _laguerre_coeffs(model)
     worst = 0.0
     for x in samples:
         x = float(x)
         z = 2.0 * b * math.exp(-x)
-        vals = _laguerre_values(n + 1, alpha, z)
+        vals = dict(enumerate(_recurrence(laguerre, z, n + 1)))
+        vals[-1] = vals[-2] = 0.0
         phi = math.exp(-p * x - 0.5 * z)
         norm = [math.exp(_log_norm(model, j)) for j in range(n + 2)]
         y = {j: norm[j] * phi * vals[j] for j in range(-1, n + 2) if j >= 0}
@@ -393,6 +375,18 @@ def _continuum_coeffs(model: MorseModel, n: int) -> tuple[float, float, float]:
     return upper, diag, lower
 
 
+def _continuum_kernel(model: MorseModel):
+    """Kernel coefficients of P_n(gamma^2): upper P_{n+1} + lower P_{n-1} =
+    (diagonal - gamma^2) P_n reads gamma^2 P_n = -upper P_{n+1} + diagonal P_n
+    - lower P_{n-1}."""
+
+    def coeffs(n: int):
+        upper, diag, lower = _continuum_coeffs(model, n)
+        return -upper, diag, -lower
+
+    return coeffs
+
+
 @dataclass(frozen=True)
 class ContinuousPolys:
     """Continuum expansion values computed two independent ways."""
@@ -407,14 +401,7 @@ def continuous_polys(model: MorseModel, n_max: int, gamma: float) -> ContinuousP
     normalized continuous dual Hahn evaluation, with their max relative gap."""
     z = float(gamma) ** 2
     b, N = model.b, model.N
-    rec = [1.0]
-    prev, cur = 0.0, 1.0
-    for n in range(n_max):
-        upper, diag, lower = _continuum_coeffs(model, n)
-        nxt = ((diag - z) * cur - lower * prev) / upper
-        rec.append(nxt)
-        prev, cur = cur, nxt
-
+    rec = _recurrence(_continuum_kernel(model), z, n_max)
     fam = Family.continuous_dual_hahn(b + 0.5, N - b + 0.5, b - N + 0.5)
     normalized = []
     for n in range(n_max + 1):
@@ -429,17 +416,6 @@ def continuous_polys(model: MorseModel, n_max: int, gamma: float) -> ContinuousP
     return ContinuousPolys(recurrence=rec, normalized=normalized, max_rel_diff=gap)
 
 
-def _continuum_values_vec(model: MorseModel, n_max: int, z: np.ndarray) -> list[np.ndarray]:
-    out = [np.ones_like(z)]
-    prev, cur = np.zeros_like(z), np.ones_like(z)
-    for n in range(n_max):
-        upper, diag, lower = _continuum_coeffs(model, n)
-        nxt = ((diag - z) * cur - lower * prev) / upper
-        out.append(nxt)
-        prev, cur = cur, nxt
-    return out
-
-
 def parseval_check(model: MorseModel, n: int, m2: int, rtol: float = 1e-10) -> float:
     """Quadrature value of the continuum orthonormality integral for (n, m2).
 
@@ -452,7 +428,7 @@ def parseval_check(model: MorseModel, n: int, m2: int, rtol: float = 1e-10) -> f
 
     def integrand(g):
         g = np.asarray(g, dtype=float)
-        vals = _continuum_values_vec(model, kmax, g * g)
+        vals = _recurrence(_continuum_kernel(model), g * g, kmax)
         return vals[n] * vals[m2] * opfamilies.cdh_weight(model.b, model.N, g)
 
     return jacspec.halfline_integrate(integrand, lo=0.0, rtol=rtol, atol=1e-12)

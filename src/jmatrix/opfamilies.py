@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
 from .gammafn import gammaln_real, loggamma
-from .polycore import Mode, ModeError, Polynomial, scalar_mode
+from .jacspec import JacobiOperator, _recurrence, _recurrence_log
+from .polycore import Mode, ModeError, Polynomial, _parse_scalar, scalar_mode
 
 __all__ = [
     "FamilyKind",
@@ -157,17 +158,8 @@ class Family:
             kind = FamilyKind(name.lower())
         except ValueError:
             raise ValidationError(f"unknown family {name!r}") from None
-        params = []
-        if rest:
-            for tok in rest.split(","):
-                tok = tok.strip()
-                if "/" in tok:
-                    params.append(Fraction(tok))
-                elif any(ch in tok for ch in ".eE"):
-                    params.append(float(tok))
-                else:
-                    params.append(int(tok))
-        return cls(kind, tuple(params))
+        params = tuple(_parse_scalar(tok) for tok in rest.split(",")) if rest else ()
+        return cls(kind, params)
 
     def spec_string(self) -> str:
         if not self.params:
@@ -366,11 +358,13 @@ def recurrence_coeffs(f: Family, n: int):
 
 
 def _solved_recurrence(f: Family, n: int):
-    key = (f.kind, f.params, n)
+    # The mode is part of every cache key: Family(k, (2.25,)) and
+    # Family(k, (Fraction(9, 4),)) compare and hash equal.
+    mode = Mode.EXACT if f.params_exact() else Mode.FLOAT
+    key = (f.kind, f.params, n, mode)
     cached = _RECURRENCE_CACHE.get(key)
     if cached is not None:
         return cached
-    mode = Mode.EXACT if f.params_exact() else Mode.FLOAT
     phi_n = family_polynomial(f, n, mode)
     phi_up = family_polynomial(f, n + 1, mode)
     x_phi = Polynomial.x(mode) * phi_n
@@ -414,35 +408,16 @@ def eval_family(f: Family, n: int, x):
     exact = f.params_exact() and xm is not Mode.FLOAT
     if xm is Mode.EXACT and not f.params_exact():
         raise ModeError("exact argument with float family parameters")
-    conv = (lambda v: Fraction(v)) if exact else float
-    xv = conv(x)
-    prev, cur = conv(1), conv(1)
-    for m in range(n):
-        u, v, w = (conv(t) for t in recurrence_coeffs(f, m))
-        nxt = ((xv - v) * cur - (w * prev if m else 0)) / u
-        if not exact and abs(nxt) > 1e300:
-            raise OverflowError("family value exceeds 1e300; use eval_family_log")
-        prev, cur = cur, nxt
-    return cur
+    conv = Fraction if exact else float
+    values = _recurrence(lambda m: tuple(map(conv, recurrence_coeffs(f, m))), conv(x), n)
+    if not exact and any(abs(v) > 1e300 for v in values):
+        raise OverflowError("family value exceeds 1e300; use eval_family_log")
+    return values[-1]
 
 
 def eval_family_log(f: Family, n: int, x) -> tuple[float, float]:
     """(sign, log|phi_n(x)|) via a rescaled recurrence; safe for large values."""
-    xv = float(x)
-    prev, cur = 1.0, 1.0
-    shift = 0.0
-    for m in range(n):
-        u, v, w = (float(t) for t in recurrence_coeffs(f, m))
-        nxt = ((xv - v) * cur - (w * prev if m else 0.0)) / u
-        mag = max(abs(nxt), abs(cur))
-        if mag > 1e120:
-            nxt /= mag
-            cur /= mag
-            shift += math.log(mag)
-        prev, cur = cur, nxt
-    if cur == 0.0:
-        return 0.0, -math.inf
-    return math.copysign(1.0, cur), math.log(abs(cur)) + shift
+    return _recurrence_log(lambda m: tuple(map(float, recurrence_coeffs(f, m))), float(x), n)[-1]
 
 
 def bochner_ode(f: Family, mode: Mode | None = None):
@@ -519,7 +494,7 @@ def asc_relation(f: Family, n: int):
         return Polynomial((0, one), mode), 0, n, -(n + alpha) if n else 0
     if k is FamilyKind.MONOMIAL:
         return Polynomial((0, one), mode), 0, n, 0
-    key = (f.kind, f.params, n)
+    key = (f.kind, f.params, n, mode)
     cached = _ASC_CACHE.get(key)
     if cached is not None:
         return cached
@@ -638,8 +613,6 @@ def family_jacobi_operator(f: Family):
     Off-diagonal entries a_n = sqrt(u_n w_{n+1}) from the family recurrence;
     diagonal b_n = v_n.  Feed this to the Gauss quadrature construction.
     """
-    from .jacspec import JacobiOperator
-
     mass = weight_mass(f)
 
     def a(n: int) -> float:

@@ -10,10 +10,13 @@ coefficient cache of a degree-lowering operator, whose fills are idempotent.
 
 from __future__ import annotations
 
+import math
 import numbers
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
+
+from .errors import ValidationError
 
 __all__ = [
     "Mode",
@@ -78,11 +81,20 @@ def format_scalar(value) -> str:
 
 
 def _parse_scalar(token: str):
+    """One text scalar: "p/q" is a Fraction, a token with ".", "e" or "E" a
+    float, anything else an int.  A zero denominator or a float that is not
+    finite is rejected."""
     token = token.strip()
     if "/" in token:
-        return Fraction(token)
-    if any(ch in token for ch in ".eE") and not token.lstrip("+-").isdigit():
-        return float(token)
+        try:
+            return Fraction(token)
+        except ZeroDivisionError:
+            raise ValidationError(f"scalar {token!r} has a zero denominator") from None
+    if any(ch in token for ch in ".eE"):
+        value = float(token)
+        if not math.isfinite(value):
+            raise ValidationError(f"scalar {token!r} is not finite as a float")
+        return value
     return int(token)
 
 

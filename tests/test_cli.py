@@ -117,6 +117,42 @@ class TestOtherCommands:
         assert main(["verify", "--suite", "nonsense"]) == 1
 
 
+class TestScalarInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lame", "--e", "1e400,-1,-2", "--m", "2", "--spectrum"],
+            ["lame", "--e", "3,-1,-2", "--m", "1e400", "--spectrum"],
+            ["--mode", "float", "morse", "--b", "9/4", "--residual", "2", "--grid", "1e400"],
+            ["--mode", "float", "tridiag", "--A", "0,0,0,1", "--B", "0,0,1", "--C", "0,1", "--n", "3", "--q", "1e400"],
+            ["--mode", "float", "families", "--family", "jacobi:0,0", "--eval", "1e400"],
+        ],
+    )
+    def test_non_finite_flag_is_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "float", "families", "--family", "jacobi:1e400,0", "--n", "2", "--recurrence"],
+            ["--mode", "float", "tridiag", "--A", "0,0,0,1e400", "--B", "0,0,1", "--C", "0,1", "--n", "3"],
+            ["families", "--family", "jacobi:1/0,0", "--n", "2", "--recurrence"],
+            ["tridiag", "--A", "0,0,0,1/0", "--B", "0,0,1", "--C", "0,1", "--n", "3"],
+        ],
+    )
+    def test_bad_lexeme_is_an_error(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scalar") and err.count("\n") == 1
+
+    def test_exact_mode_reads_decimals_as_rationals(self, capsys):
+        status, report = run_json(capsys, ["families", "--family", "monomial", "--n", "2", "--eval", "0.1"])
+        assert status == 0
+        assert [row["value"] for row in report["results"]["values"]] == ["1", "1/10", "1/100"]
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         argv = ["lame", "--e", "3,-1,-2", "--m", "2", "--spectrum"]

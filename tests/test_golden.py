@@ -1,0 +1,60 @@
+"""Byte-identical CLI reports against the committed golden corpus.
+
+Each case's stdout is compared with ``tests/golden/<name>.<json|csv>``.
+The cases are the README examples plus the commands that reach every
+three-term recurrence the CLI can run.  To regenerate the corpus after an
+intended output change, run ``PYTHONPATH=src python tests/test_golden.py``
+and review the diff.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from jmatrix.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "morse_levels": ["morse", "--b", "2.25", "--levels"],
+    "morse_identity": ["morse", "--b", "9/4", "--identity", "0"],
+    "morse_parseval_5_5": ["morse", "--b", "2.25", "--parseval", "5", "5"],
+    "lame_spectrum": ["lame", "--e", "3,-1,-2", "--m", "2", "--spectrum"],
+    "lame_residuals": ["lame", "--e", "3,-1,-2", "--m", "2", "--residuals", "10"],
+    "lame_diagnostic": ["lame", "--e", "3,-1,-2", "--m", "3/2", "--diagnostic", "500"],
+    "tridiag": ["tridiag", "--A", "0,0,0,1", "--B", "0,0,1", "--C", "0,1", "--n", "10"],
+    "quad_csv": ["--out", "csv", "quad", "--family", "jacobi:0,0", "--n", "20"],
+    "verify_two": ["verify", "--suite", "quadrature", "morse-expansion"],
+    "morse_residual": ["morse", "--b", "9/4", "--residual", "8"],
+    "morse_parseval_3_7": ["morse", "--b", "19/5", "--parseval", "3", "7"],
+    "families_jacobi_eval": ["families", "--family", "jacobi:1/2,-1/4", "--n", "8", "--eval", "1/3"],
+    "families_laguerre_float_eval": [
+        "--mode", "float", "families", "--family", "laguerre:1/2", "--n", "8", "--eval", "1.5"
+    ],
+}
+
+
+def golden_path(name: str) -> Path:
+    return GOLDEN / f"{name}.{'csv' if 'csv' in CASES[name] else 'json'}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.delenv("JMATRIX_MODE", raising=False)
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr().out == golden_path(name).read_text()
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import os
+
+    os.environ.pop("JMATRIX_MODE", None)
+    for name, argv in CASES.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            if main(argv) != 0:
+                sys.exit(f"{name}: nonzero exit")
+        golden_path(name).write_text(buf.getvalue())

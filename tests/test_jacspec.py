@@ -17,6 +17,7 @@ from jmatrix.jacspec import (
     eval_pn_scaled,
     gauss_legendre_rule,
     golub_welsch,
+    halfline_integrate,
     split_blocks,
     symmetric_tridiagonal_eig,
 )
@@ -170,6 +171,42 @@ class TestEvalPn:
         for p, (s, logmag) in zip(plain, scaled):
             if p != 0.0 and abs(p) < 1e300:
                 assert abs(p - s * math.exp(logmag)) <= 1e-10 * abs(p)
+
+
+class TestRecurrenceKernel:
+    def test_scalar_types_pass_through(self):
+        powers = lambda n: (1, 0, 0)  # x p_n = p_{n+1}: p_n = x^n
+        exact = jacspec._recurrence(powers, Fraction(1, 2), 3)
+        assert exact == [1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+        assert all(type(v) is Fraction for v in exact)
+        assert jacspec._recurrence(powers, 0.5, 3) == [1.0, 0.5, 0.25, 0.125]
+        xs = np.array([2.0, -3.0])
+        arrays = jacspec._recurrence(powers, xs, 3)
+        assert all(np.array_equal(v, xs ** k) for k, v in enumerate(arrays))
+
+    def test_vanishing_u_is_reported(self):
+        coeffs = lambda n: (0 if n == 2 else 1, 0, 1)
+        for kernel in (jacspec._recurrence, jacspec._recurrence_log):
+            with pytest.raises(ValidationError, match="index 2"):
+                kernel(coeffs, 0.3, 5)
+
+    def test_log_kernel_follows_overflow(self):
+        coeffs = lambda n: (0.5, 0.0, 0.5)  # Chebyshev U: U_n(cosh t) = sinh((n+1)t)/sinh t
+        t = 2.0
+        logs = jacspec._recurrence_log(coeffs, math.cosh(t), 600)
+        for n in (10, 300, 600):
+            want = (n + 1) * t - math.log(2 * math.sinh(t))
+            assert logs[n][0] == 1.0 and abs(logs[n][1] - want) <= 1e-12 * want
+
+
+def test_integrators_fall_back_to_points():
+    def collapsing(x):  # exp(-x) at a point; an array collapses to one scalar
+        return math.exp(-float(np.max(x)))
+
+    rule = gauss_legendre_rule(8, 0.0, 1.0)
+    assert abs(rule.integrate(collapsing) - (1 - math.exp(-1))) <= 1e-12
+    assert abs(adaptive_integrate(collapsing, 0.0, 1.0) - (1 - math.exp(-1))) <= 1e-12
+    assert abs(halfline_integrate(collapsing) - 1.0) <= 1e-9
 
 
 class TestGolubWelsch:

@@ -42,6 +42,11 @@ class TestModel:
         with pytest.raises(ValidationError):
             build_morse_model(-1.0)
 
+    @pytest.mark.parametrize("b", [float("nan"), float("inf"), float("-inf"), F(10**400), "1e400"])
+    def test_non_finite_rejected(self, b):
+        with pytest.raises(ValidationError, match="finite"):
+            build_morse_model(b)
+
     def test_exact_parameter_kept(self):
         m = build_morse_model("9/4")
         assert m.b_exact == F(9, 4) and m.b == 2.25
@@ -153,6 +158,10 @@ class TestBasis:
         model = build_morse_model("9/4")
         sign, logmag = eval_basis_log(model, 2, -40.0)
         assert logmag < -700  # underflows a double, but the log stays finite
+        # z = 2b exp(360) ~ 1e157: L_2(z) ~ z^2 / 2 overflows unless rescaled from the first step
+        sign, logmag = eval_basis_log(model, 2, -360.0)
+        assert sign == 1.0 and -math.inf < logmag < -700
+        assert eval_basis(model, 5, -360.0) == 0.0
 
     def test_orthonormality(self):
         model = build_morse_model("9/4")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jmatrix import jacspec
+from jmatrix import jacspec, opfamilies
 from jmatrix.errors import ValidationError
 from jmatrix.opfamilies import (
     Family,
@@ -119,6 +119,27 @@ class TestEvalFamily:
             eval_family(f, 10, 1.25)
         )
         assert math.isfinite(logmag) and sign in (-1.0, 1.0)
+
+
+class TestCacheModes:
+    SPELLINGS = {
+        "exact": ("jacobi:9/4,1/2", "cdh:11/4,1/4,7/4"),
+        "decimal": ("jacobi:2.25,0.5", "cdh:2.75,0.25,1.75"),
+    }
+
+    @pytest.mark.parametrize("order", [("exact", "decimal"), ("decimal", "exact")])
+    def test_equal_parameters_keep_their_mode(self, monkeypatch, order):
+        # Family(k, (2.25,)) == Family(k, (F(9, 4),)), so only the mode in
+        # the cache key keeps one spelling from reading the other's results.
+        for cache in ("_POLY_CACHE", "_RECURRENCE_CACHE", "_ASC_CACHE"):
+            monkeypatch.setattr(opfamilies, cache, {})
+        for spelling in order:
+            jac, cdh = (Family.parse(s) for s in self.SPELLINGS[spelling])
+            want = F if spelling == "exact" else float
+            for n in (1, 2):
+                _, a, b, c = asc_relation(jac, n)
+                assert all(type(v) is want for v in (a, b, c))
+                assert all(type(v) is want for v in recurrence_coeffs(cdh, n))
 
 
 class TestBochner:
