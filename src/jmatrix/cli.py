@@ -32,11 +32,12 @@ from .polycore import (
     format_scalar,
     parse_polynomial,
     q_derivative_op,
+    read_scalar,
     second_derivative_op,
 )
 from .tdop import tridiagonalize, validate_td
 
-DEFAULT_TOLERANCES = {"block_tol": 1e-12, "quad_rtol": 1e-10, "residual_tol": 1e-9}
+DEFAULT_TOLERANCES = {"quad_rtol": 1e-10, "residual_tol": 1e-9}
 
 
 class _UsageError(Exception):
@@ -94,7 +95,6 @@ def _base_report(args, command: str, inputs: dict) -> dict:
         "command": command,
         "mode": args.mode,
         "tolerances": {
-            "block_tol": args.block_tol,
             "quad_rtol": args.quad_rtol,
             "residual_tol": args.residual_tol,
         },
@@ -107,22 +107,14 @@ def _parse_scalar_arg(text: str, mode: str, flag: str):
     """A scalar flag value: a Fraction in exact mode (decimals read as
     rationals), else a float; finite as a float either way."""
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        if mode == "exact":
-            raise _UsageError(f"exact mode needs a rational {flag}, got {text!r}")
-        value = float(text)
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise _UsageError(f"{flag} must be finite as a float, got {text!r}")
-    return value if mode == "exact" else float(value)
+        value, exact = read_scalar(text)
+    except ValidationError as exc:
+        raise _UsageError(f"{flag}: {exc}") from None
+    return exact if mode == "exact" else value
 
 
 def _cmd_tridiag(args) -> int:
-    mode = Mode.EXACT if args.mode == "exact" else Mode.FLOAT
+    mode = Mode(args.mode)
     A = parse_polynomial(args.A, mode)
     B = parse_polynomial(args.B, mode)
     C = parse_polynomial(args.C, mode)
@@ -178,6 +170,8 @@ def _cmd_morse(args) -> int:
             "delta_error": abs(value - (1.0 if n1 == n2 else 0.0)),
         }
     if args.residual is not None:
+        if args.residual < 0:
+            raise _UsageError("--residual must be nonnegative")
         grid = morse.DEFAULT_SAMPLE_GRID
         if args.grid is not None:
             grid = tuple(float(_parse_scalar_arg(tok, args.mode, "--grid")) for tok in args.grid.split(","))
@@ -314,7 +308,6 @@ def build_parser() -> _Parser:
                         help="scalar mode (env JMATRIX_MODE overrides the default 'exact')")
     parser.add_argument("--out", choices=("json", "csv"), default="json")
     parser.add_argument("--output", default=None, help="write the report to this path instead of stdout")
-    parser.add_argument("--block-tol", type=float, default=DEFAULT_TOLERANCES["block_tol"])
     parser.add_argument("--quad-rtol", type=float, default=DEFAULT_TOLERANCES["quad_rtol"])
     parser.add_argument("--residual-tol", type=float, default=DEFAULT_TOLERANCES["residual_tol"])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -376,9 +369,9 @@ def main(argv=None) -> int:
             args.mode = os.environ.get("JMATRIX_MODE", "exact").lower()
         if args.mode not in ("exact", "float"):
             raise _UsageError(f"JMATRIX_MODE must be exact or float, got {args.mode!r}")
-        for tol in ("block_tol", "quad_rtol", "residual_tol"):
-            if getattr(args, tol) <= 0:
-                raise _UsageError(f"--{tol.replace('_', '-')} must be positive")
+        for tol in DEFAULT_TOLERANCES:
+            if not (math.isfinite(getattr(args, tol)) and getattr(args, tol) > 0):
+                raise _UsageError(f"--{tol.replace('_', '-')} must be finite and positive")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

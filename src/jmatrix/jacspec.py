@@ -24,6 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -408,91 +409,86 @@ def golub_welsch(J: JacobiOperator, n: int, total_mass: float) -> QuadratureRule
     return QuadratureRule(nodes=w, weights=weights, total_mass=float(total_mass))
 
 
-_LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_LEGENDRE_CACHE_SIZE = 8  # the integrators use one rule size, _PANEL_ORDER
+
+
+@lru_cache(maxsize=_LEGENDRE_CACHE_SIZE)
+def _legendre_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    ref = golub_welsch(
+        JacobiOperator(
+            a=lambda k: (k + 1) / math.sqrt((2 * k + 1) * (2 * k + 3)),
+            b=lambda k: 0.0,
+        ),
+        n,
+        2.0,
+    )
+    return ref.nodes, ref.weights
 
 
 def gauss_legendre_rule(n: int, lo: float, hi: float) -> QuadratureRule:
     """Gauss-Legendre rule on [lo, hi], built from the Legendre recurrence."""
-    if n not in _LEGENDRE_CACHE:
-        ref = golub_welsch(
-            JacobiOperator(
-                a=lambda k: (k + 1) / math.sqrt((2 * k + 1) * (2 * k + 3)),
-                b=lambda k: 0.0,
-            ),
-            n,
-            2.0,
-        )
-        _LEGENDRE_CACHE[n] = (ref.nodes, ref.weights)
-    nodes, weights = _LEGENDRE_CACHE[n]
+    nodes, weights = _legendre_reference(n)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return QuadratureRule(nodes=mid + half * nodes, weights=half * weights, total_mass=half * 2.0)
 
 
-def _composite_gauss(f, lo: float, hi: float, panels: int, order: int) -> tuple[float, float]:
+_PANEL_ORDER = 16  # Gauss-Legendre nodes per panel
+_MAX_DOUBLINGS = 14  # panel-count doublings before adaptive_integrate gives up
+_ENVELOPE_DROP = 1e-16  # |f| below this fraction of its peak marks the half-line truncation point
+_FIRST_SPAN = 4.0  # first trial length of the half-line truncation
+_MAX_EXTENSIONS = 12  # doublings of the trial length before halfline_integrate gives up
+
+
+def _composite_gauss(f, lo: float, hi: float, panels: int) -> tuple[float, float]:
     """Composite Gauss-Legendre sum and a companion sum of |f| (same grid)."""
     edges = np.linspace(lo, hi, panels + 1)
     total = 0.0
     total_abs = 0.0
     for i in range(panels):
-        rule = gauss_legendre_rule(order, edges[i], edges[i + 1])
+        rule = gauss_legendre_rule(_PANEL_ORDER, edges[i], edges[i + 1])
         vals = _sample(f, rule.nodes)
         total += float(np.dot(rule.weights, vals))
         total_abs += float(np.dot(rule.weights, np.abs(vals)))
     return total, total_abs
 
 
-def adaptive_integrate(
-    f,
-    lo: float,
-    hi: float,
-    rtol: float = 1e-10,
-    atol: float | None = None,
-    order: int = 16,
-    max_doublings: int = 14,
-) -> float:
+def adaptive_integrate(f, lo: float, hi: float, rtol: float = 1e-10, atol: float | None = None) -> float:
     """Integrate f on [lo, hi], doubling panel counts until two successive
     refinements differ by less than max(atol, rtol * |I|).
 
-    Raises ConvergenceError after ``max_doublings`` refinements.
+    Raises ConvergenceError after ``_MAX_DOUBLINGS`` refinements.
     """
     if atol is None:
         atol = rtol
     panels = 4
-    prev, _ = _composite_gauss(f, lo, hi, panels, order)
-    for _ in range(max_doublings):
+    prev, _ = _composite_gauss(f, lo, hi, panels)
+    for _ in range(_MAX_DOUBLINGS):
         panels *= 2
-        cur, cur_abs = _composite_gauss(f, lo, hi, panels, order)
+        cur, cur_abs = _composite_gauss(f, lo, hi, panels)
         if abs(cur - prev) <= max(atol, rtol * max(abs(cur), 1e-3 * cur_abs)):
             return cur
         prev = cur
     raise ConvergenceError(f"adaptive quadrature did not converge on [{lo}, {hi}]")
 
 
-def halfline_integrate(
-    f,
-    lo: float = 0.0,
-    rtol: float = 1e-10,
-    atol: float | None = None,
-    envelope_drop: float = 1e-16,
-    t0: float = 4.0,
-    max_extensions: int = 12,
-) -> float:
+def halfline_integrate(f, lo: float = 0.0, rtol: float = 1e-10, atol: float | None = None) -> float:
     """Integrate f on [lo, infinity) for integrands with super-polynomial decay.
 
     The domain is truncated where the sampled envelope of |f| falls below
-    ``envelope_drop`` times its peak, then integrated adaptively; one
+    ``_ENVELOPE_DROP`` times its peak, then integrated adaptively; one
     further doubling of the truncation point acts as a tail check.
     """
     if atol is None:
         atol = rtol
-    T = lo + t0
+    T = lo + _FIRST_SPAN
     peak = 0.0
-    for _ in range(max_extensions):
+    for _ in range(_MAX_EXTENSIONS):
         mags = np.abs(_sample(f, np.linspace(lo, T, 65)[1:]))
         peak = max(peak, float(np.max(mags)))
         tail = float(np.max(mags[-4:]))
-        if peak > 0 and tail <= envelope_drop * peak:
+        if peak > 0 and tail <= _ENVELOPE_DROP * peak:
             break
         T = lo + 2 * (T - lo)
     else:

@@ -14,7 +14,6 @@ symmetric Jacobi form whose coefficients grow like n^2 / 2.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from . import jacspec, opfamilies
 from .errors import InternalConsistencyError, ValidationError
 from .jacspec import BoundednessReport, JacobiOperator
 from .opfamilies import Family
-from .polycore import Mode, Polynomial, derivative_op, second_derivative_op
+from .polycore import Mode, Polynomial, derivative_op, read_scalar, resolve_mode, second_derivative_op, to_mode
 from .tdop import TDOperator, validate_td
 
 __all__ = [
@@ -45,12 +44,9 @@ __all__ = [
 ]
 
 
-def _maybe_exact(v) -> Fraction | None:
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, (Fraction, numbers.Integral)):
-        return Fraction(v)
-    return None
+def _affine(e1, e2, e3):
+    """(a, b, alpha) of the normalization x = a y + b, in the scalar type of the e."""
+    return (e1 - e2) / 2, (e1 + e2) / 2, 3 * e3 / (e1 - e2)
 
 
 @dataclass(frozen=True)
@@ -77,9 +73,7 @@ class LameModel:
         """(a, b, alpha) as exact rationals; requires an exact model."""
         if not self.is_exact:
             raise ValidationError("model was not built from rational data")
-        e1, e2, e3 = self.e_exact
-        a = (e1 - e2) / 2
-        return a, (e1 + e2) / 2, 3 * e3 / (e1 - e2)
+        return _affine(*self.e_exact)
 
 
 def build_lame_model(e1, e2, e3, m) -> LameModel:
@@ -93,51 +87,47 @@ def build_lame_model(e1, e2, e3, m) -> LameModel:
             (tolerance 1e-12 of the scale), or alpha equal to +-1 (the
             normalization degenerates at those values).
     """
-    exacts = [_maybe_exact(v) for v in (e1, e2, e3)]
-    m_ex = _maybe_exact(m)
-    ef = tuple(float(x) if x0 is None else float(x0) for x, x0 in zip((e1, e2, e3), exacts))
-    mf = float(m) if m_ex is None else float(m_ex)
+    read = [read_scalar(v) for v in (e1, e2, e3, m)]
+    ef, mf = tuple(f for f, _ in read[:3]), read[3][0]
+    exacts = [x for _, x in read]
     scale = max(1.0, *(abs(v) for v in ef))
     if len({ef[0], ef[1], ef[2]}) != 3:
         raise ValidationError("branch values must be pairwise distinct")
     if abs(ef[0] + ef[1] + ef[2]) > 1e-12 * scale:
         raise ValidationError("branch values must sum to zero")
-    a = 0.5 * (ef[0] - ef[1])
-    b = 0.5 * (ef[0] + ef[1])
-    alpha = 3.0 * ef[2] / (ef[0] - ef[1])
+    a, b, alpha = _affine(*ef)
     if abs(alpha - 1.0) <= 1e-12 or abs(alpha + 1.0) <= 1e-12:
         raise ValidationError("alpha = +-1 is excluded (degenerate normalization)")
-    all_exact = all(x is not None for x in exacts) and m_ex is not None
+    all_exact = None not in exacts
     return LameModel(
         e=ef,
         m=mf,
         a_affine=a,
         b_affine=b,
         alpha=alpha,
-        e_exact=tuple(exacts) if all_exact else None,
-        m_exact=m_ex if all_exact else None,
+        e_exact=tuple(exacts[:3]) if all_exact else None,
+        m_exact=exacts[3] if all_exact else None,
     )
 
 
-def _mode_of(model: LameModel, mode: Mode | None) -> Mode:
-    if mode is None:
-        return Mode.EXACT if model.is_exact else Mode.FLOAT
-    if mode is Mode.EXACT and not model.is_exact:
-        raise ValidationError("exact operator needs rational branch values and m")
-    return mode
+def _typed_data(model: LameModel, mode: Mode | None):
+    """The resolved mode, with the branch values, m, alpha and b/a typed for it."""
+    mode = resolve_mode(mode, model.is_exact, "rational branch values and m")
+    source = (*model.e_exact, model.m_exact) if model.is_exact else (*model.e, model.m)
+    e1, e2, e3, m = (to_mode(v, mode) for v in source)
+    a, b, alpha = _affine(e1, e2, e3)
+    return mode, (e1, e2, e3), m, alpha, b / a
 
 
 def algebraic_operator(model: LameModel, mode: Mode | None = None) -> TDOperator:
     """The x-variable operator: A = (x-e1)(x-e2)(x-e3), B = A'/2,
     C = -m(m+1) x / 4 (the spectral parameter enters separately)."""
-    mode = _mode_of(model, mode)
-    es = model.e_exact if mode is Mode.EXACT else model.e
-    mv = model.m_exact if mode is Mode.EXACT else model.m
-    quarter = Fraction(1, 4) if mode is Mode.EXACT else 0.25
+    mode, es, mv, _, _ = _typed_data(model, mode)
+    quarter = to_mode(Fraction(1, 4), mode)
     A = Polynomial.one(mode)
     for e in es:
         A = A * Polynomial((-e, 1), mode)
-    B = A.derivative() * (Fraction(1, 2) if mode is Mode.EXACT else 0.5)
+    B = A.derivative() * to_mode(Fraction(1, 2), mode)
     C = Polynomial((0, -quarter * mv * (mv + 1)), mode)
     return validate_td(A, B, C, derivative_op(), second_derivative_op())
 
@@ -146,19 +136,10 @@ def transformed_operator(model: LameModel, mode: Mode | None = None) -> TDOperat
     """The y-variable operator after x = a y + b: leading factor
     (y-1)(y+1)(y-alpha), first-order part its half-derivative, and
     C = -m(m+1)(y + b/a)/4."""
-    mode = _mode_of(model, mode)
-    if mode is Mode.EXACT:
-        _, b, alpha = model.exact_constants()
-        boa = b / ((model.e_exact[0] - model.e_exact[1]) / 2)
-        mv = model.m_exact
-        quarter = Fraction(1, 4)
-    else:
-        alpha = model.alpha
-        boa = model.b_affine / model.a_affine
-        mv = model.m
-        quarter = 0.25
+    mode, _, mv, alpha, boa = _typed_data(model, mode)
+    quarter = to_mode(Fraction(1, 4), mode)
     A = Polynomial((-1, 0, 1), mode) * Polynomial((-alpha, 1), mode)
-    B = A.derivative() * (Fraction(1, 2) if mode is Mode.EXACT else 0.5)
+    B = A.derivative() * to_mode(Fraction(1, 2), mode)
     C = Polynomial((-quarter * mv * (mv + 1) * boa, -quarter * mv * (mv + 1)), mode)
     return validate_td(A, B, C, derivative_op(), second_derivative_op())
 
@@ -178,16 +159,8 @@ def cheb_tridiag_coeffs(model: LameModel, n: int, mode: Mode | None = None):
     """
     if n < 0:
         raise ValidationError("index must be nonnegative")
-    mode = _mode_of(model, mode)
-    if mode is Mode.EXACT:
-        _, b, alpha = model.exact_constants()
-        a_aff, _, _ = model.exact_constants()
-        boa = b / a_aff
-        mv = model.m_exact
-        eighth, quarter = Fraction(1, 8), Fraction(1, 4)
-    else:
-        alpha, boa, mv = model.alpha, model.b_affine / model.a_affine, model.m
-        eighth, quarter = 0.125, 0.25
+    mode, _, mv, alpha, boa = _typed_data(model, mode)
+    eighth, quarter = to_mode(Fraction(1, 8), mode), to_mode(Fraction(1, 4), mode)
     mm1 = mv * (mv + 1)
     if n == 0:
         return (-quarter * mm1, -quarter * mm1 * boa, None)
@@ -203,8 +176,6 @@ def tridiag_residual(model: LameModel, n: int) -> Polynomial:
     Contract: the exact zero polynomial for every n (rational model data
     required; this is the module's core correctness guarantee).
     """
-    if not model.is_exact:
-        raise ValidationError("exact residual needs a rational model")
     op = transformed_operator(model, Mode.EXACT)
     upper, diag, lower = cheb_tridiag_coeffs(model, n, Mode.EXACT)
     rhs = chebyshev_poly(n + 1) * upper + chebyshev_poly(n) * diag
@@ -231,6 +202,10 @@ class LameEvenSpectrum:
     pcoeffs: list[list[float]]
 
 
+# The even-case block is a (k+1)-square matrix with full eigenvectors.
+_MAX_EVEN_K = 1000
+
+
 def _even_matrix(model: LameModel, k: int) -> np.ndarray:
     mat = np.zeros((k + 1, k + 1))
     for n in range(k + 1):
@@ -248,42 +223,38 @@ def _even_matrix(model: LameModel, k: int) -> np.ndarray:
 def even_spectrum(model: LameModel) -> LameEvenSpectrum:
     """Spectrum of the operator restricted to span{T_0, ..., T_k}, m = 2k.
 
-    Eigenvalues are computed two ways and must agree to 1e-9: (i) a dense
-    eigensolve, run on the diagonally symmetrized matrix whenever every
-    product of paired off-diagonals is positive (guaranteed for real alpha),
+    Eigenvalues are computed two ways and must agree to 1e-9: (i) the
+    symmetric QL eigensolve of the diagonally symmetrized matrix (every
+    product of paired off-diagonals is positive for even m, whatever alpha),
     and (ii) the roots of the polynomial P_{k+1} generated by the
     coefficient recurrence from P_0 = 1.
 
     Raises:
-        ValidationError: m is not an even nonnegative integer.
+        ValidationError: m is not an even nonnegative integer, or m > 2000.
         InternalConsistencyError: the two methods disagree, or the spectrum
-            fails to be real and simple.
+            is not simple.
     """
-    m_ex = model.m_exact if model.m_exact is not None else (
-        Fraction(model.m) if float(model.m).is_integer() else None
-    )
-    if m_ex is None or m_ex.denominator != 1 or m_ex < 0 or m_ex % 2 != 0:
+    m_ex = model.m_exact if model.is_exact else Fraction(model.m)
+    if m_ex.denominator != 1 or m_ex < 0 or m_ex % 2 != 0:
         raise ValidationError("finite even-case spectra need m an even nonnegative integer")
     k = int(m_ex) // 2
+    if k > _MAX_EVEN_K:
+        raise ValidationError(f"m = {float(m_ex):g} asks for a block beyond {_MAX_EVEN_K + 1} rows")
     mat = _even_matrix(model, k)
 
-    products = [mat[i, i + 1] * mat[i + 1, i] for i in range(k)]
-    if all(p > 0 for p in products):
-        off = [math.sqrt(p) for p in products]
-        w, U = jacspec.symmetric_tridiagonal_eig(np.diag(mat).copy(), off)
-        eigs = np.asarray(w)
-        # undo the diagonal similarity: columns of diag(d) @ U solve the original matrix
-        d = np.ones(k + 1)
-        for i in range(k):
-            d[i + 1] = d[i] * off[i] / mat[i, i + 1]
-        vecs = d[:, None] * U
-    else:
-        raw_w, raw_v = np.linalg.eig(mat)
-        if np.any(np.abs(raw_w.imag) > 1e-9 * (1.0 + np.abs(raw_w.real))):
-            raise InternalConsistencyError("nonreal eigenvalues in the even-case block")
-        order = np.argsort(raw_w.real)
-        eigs = raw_w.real[order]
-        vecs = raw_v.real[:, order]
+    # Every paired product mat[i, i+1] * mat[i+1, i] is positive, whatever
+    # alpha (which enters the diagonal only): at i = 0 it is
+    # (2+m)(m-1)m(m+1)/32 > 0 for m = 2k >= 2, and for 1 <= i < k both
+    # factors, (2i+2+m)(2i+1-m)/8 and (2i-m)(2i+m+1)/8, are negative.  So the
+    # matrix is diagonally similar to a symmetric one and the QL solver applies.
+    off = [math.sqrt(mat[i, i + 1] * mat[i + 1, i]) for i in range(k)]
+    w, U = jacspec.symmetric_tridiagonal_eig(np.diag(mat).copy(), off)
+    eigs = np.asarray(w)
+    # undo the diagonal similarity: columns of diag(d) @ U solve the original matrix
+    d = np.ones(k + 1)
+    for i in range(k):
+        d[i + 1] = d[i] * off[i] / mat[i, i + 1]
+    vecs = d[:, None] * U
 
     # independent route: zeros of the generated P_{k+1}
     p_prev = Polynomial.zero(Mode.FLOAT)

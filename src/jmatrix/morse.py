@@ -16,7 +16,6 @@ run concurrently.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -28,7 +27,7 @@ from .errors import InternalConsistencyError, ValidationError
 from .gammafn import gammaln_real
 from .jacspec import JacobiOperator, SpectrumResult, _recurrence, _recurrence_log
 from .opfamilies import Family, pochhammer, recurrence_coeffs
-from .polycore import Mode, Polynomial, derivative_op, second_derivative_op
+from .polycore import Mode, Polynomial, derivative_op, read_scalar, resolve_mode, second_derivative_op, to_mode
 from .tdop import TDOperator, validate_td
 
 __all__ = [
@@ -53,6 +52,9 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLE_GRID = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
+# The bound block is an N-by-N eigenproblem held in memory, and the exact
+# expansion identity builds polynomials of degree N.
+_MAX_BOUND_STATES = 1000
 
 
 @dataclass(frozen=True)
@@ -88,19 +90,11 @@ def build_morse_model(b) -> MorseModel:
     pipeline only.
 
     Raises:
-        ValidationError: if b is not finite as a float, b <= 0, or b lies in
+        ValidationError: if b is not finite as a float, b <= 0, b lies in
             1/2 + N (the basis and the expansion data degenerate there; such
-            models are rejected, not guessed).
+            models are rejected, not guessed), or N exceeds 1000.
     """
-    exact: Fraction | None = None
-    if isinstance(b, (str, Fraction, numbers.Integral)):
-        exact = Fraction(b)
-    try:
-        bf = float(exact) if exact is not None else float(b)
-    except OverflowError:
-        bf = math.inf
-    if not math.isfinite(bf):
-        raise ValidationError(f"b must be finite, got {b!r}")
+    bf, exact = read_scalar(b)
     if bf <= 0:
         raise ValidationError("b must be positive")
     if exact is not None:
@@ -112,7 +106,15 @@ def build_morse_model(b) -> MorseModel:
         if bf >= 0.5 and float(bf - 0.5).is_integer():
             raise ValidationError("b in 1/2 + N is unsupported (degenerate basis parameter)")
         N = math.floor(bf + 0.5)
+    if N > _MAX_BOUND_STATES:
+        raise ValidationError(f"b = {bf:g} has more than {_MAX_BOUND_STATES} bound states")
     return MorseModel(b=bf, N=N, b_exact=exact)
+
+
+def _typed_b(model: MorseModel, mode: Mode | None):
+    """The resolved mode and b typed for it."""
+    mode = resolve_mode(mode, model.b_exact is not None, "a rational b")
+    return mode, to_mode(model.b if model.b_exact is None else model.b_exact, mode)
 
 
 def conjugated_operator(model: MorseModel, mode: Mode | None = None) -> TDOperator:
@@ -122,16 +124,9 @@ def conjugated_operator(model: MorseModel, mode: Mode | None = None) -> TDOperat
     C(z) = -(N - b - 1/2)^2 + z (1 - N).  Defaults to EXACT when the model
     holds a rational b.
     """
-    if mode is None:
-        mode = Mode.EXACT if model.b_exact is not None else Mode.FLOAT
-    if mode is Mode.EXACT:
-        if model.b_exact is None:
-            raise ValidationError("exact conjugated operator needs a rational b")
-        b = model.b_exact
-    else:
-        b = model.b
+    mode, b = _typed_b(model, mode)
     N = model.N
-    half = Fraction(1, 2) if mode is Mode.EXACT else 0.5
+    half = to_mode(Fraction(1, 2), mode)
     A = Polynomial((0, 0, -1), mode)
     B = Polynomial((0, 2 * N - 2 * b - 2, 1), mode)
     C = Polynomial((-((N - b - half) ** 2), 1 - N), mode)
@@ -337,18 +332,13 @@ def expansion_identity(model: MorseModel, mlevel: int, samples=(0.5, 1.0, 3.0)) 
     N = model.N
     if not 0 <= mlevel <= N - 1:
         raise ValidationError(f"mlevel must lie in 0..{N - 1}")
-    exact = model.b_exact is not None
-    if exact:
-        b = model.b_exact
-        one = Fraction(1)
-    else:
-        b = model.b
-        one = 1.0
+    mode, b = _typed_b(model, None)
+    exact = mode is Mode.EXACT
+    one = to_mode(1, mode)
     alpha = 2 * b - 2 * N
     sign = -one if (N + mlevel + 1) % 2 else one
     C = sign / (pochhammer(N + mlevel - 2 * b + 1, N - 1 - mlevel) * math.comb(N - 1, mlevel))
 
-    mode = Mode.EXACT if exact else Mode.FLOAT
     lag = lambda deg, par: opfamilies.family_polynomial(Family.laguerre(par), deg, mode)
     lhs = Polynomial.zero(mode)
     for n in range(N):

@@ -21,18 +21,20 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
 from .gammafn import gammaln_real, loggamma
 from .jacspec import JacobiOperator, _recurrence, _recurrence_log
-from .polycore import Mode, ModeError, Polynomial, _parse_scalar, scalar_mode
+from .polycore import Mode, Polynomial, _parse_scalar, resolve_mode, scalar_mode, to_mode
 
 __all__ = [
     "FamilyKind",
     "Family",
     "FamilyTruncationError",
+    "FamilyOverflowError",
     "pochhammer",
     "family_polynomial",
     "recurrence_coeffs",
@@ -74,6 +76,10 @@ _BOCHNER_KINDS = {
 
 class FamilyTruncationError(ValidationError):
     """Requested index at or beyond a finite family's truncation point."""
+
+
+class FamilyOverflowError(ValidationError, OverflowError):
+    """A float family value beyond 1e300 (eval_family_log handles that regime)."""
 
 
 def pochhammer(x, n: int):
@@ -176,21 +182,10 @@ class Family:
         return None
 
 
-def _family_mode(f: Family, mode: Mode | None) -> Mode:
-    if mode is None:
-        return Mode.EXACT if f.params_exact() else Mode.FLOAT
-    if mode is Mode.EXACT and not f.params_exact():
-        raise ModeError("exact computation requested for a float-parameter family")
-    return mode
-
-
-def _p(value, mode: Mode):
-    if mode is Mode.EXACT:
-        return Fraction(value)
-    return float(value)
-
-
-_POLY_CACHE: dict[tuple, Polynomial] = {}
+# Cache bounds: a 35 s in-process loop of the CLI pipelines keeps about 1100
+# polynomials and 370 solved relations, so these hold several such runs.
+_POLY_CACHE_SIZE = 4096
+_SOLVE_CACHE_SIZE = 1024
 
 
 def family_polynomial(f: Family, n: int, mode: Mode | None = None) -> Polynomial:
@@ -202,45 +197,42 @@ def family_polynomial(f: Family, n: int, mode: Mode | None = None) -> Polynomial
     """
     if n < 0:
         raise ValidationError("degree must be nonnegative")
-    mode = _family_mode(f, mode)
+    mode = resolve_mode(mode, f.params_exact(), "rational family parameters")
     tr = f.truncation()
     if tr is not None and n > tr:
         raise FamilyTruncationError(f"{f.kind.value} truncates at degree {tr}")
-    key = (f.kind, f.params, n, mode)
-    cached = _POLY_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _family_polynomial(f, n, mode)
+
+
+# The resolved mode is an argument, so it is part of the cache key:
+# Family(k, (2.25,)) and Family(k, (Fraction(9, 4),)) compare and hash equal.
+@lru_cache(maxsize=_POLY_CACHE_SIZE)
+def _family_polynomial(f: Family, n: int, mode: Mode) -> Polynomial:
     poly = _generate(f, n, mode)
     if poly.degree != n:
         raise ValidationError(
             f"{f.kind.value}{f.params} degenerates at degree {n} (leading coefficient vanished)"
         )
-    _POLY_CACHE[key] = poly
     return poly
 
 
 def _generate(f: Family, n: int, mode: Mode) -> Polynomial:
     k = f.kind
-    if k is FamilyKind.HERMITE:
-        return _poly_by_recurrence(n, mode, lambda m: (_p(Fraction(1, 2), mode), _p(0, mode), _p(m, mode)))
-    if k is FamilyKind.CHEBYSHEV_T:
-        return _poly_by_recurrence(
-            n, mode, lambda m: (_p(1, mode) if m == 0 else _p(Fraction(1, 2), mode), _p(0, mode), _p(Fraction(1, 2), mode))
-        )
+    params = tuple(to_mode(v, mode) for v in f.params)
+    if k in (FamilyKind.HERMITE, FamilyKind.CHEBYSHEV_T):
+        return _poly_by_recurrence(n, mode, _typed_coeffs(f, mode))
     if k is FamilyKind.MONOMIAL:
         return Polynomial.monomial(n, mode=mode)
     if k is FamilyKind.JACOBI:
-        return _poly_jacobi(_p(f.params[0], mode), _p(f.params[1], mode), n, mode)
+        return _poly_jacobi(*params, n, mode)
     if k is FamilyKind.LAGUERRE:
-        return _poly_laguerre(_p(f.params[0], mode), n, mode)
+        return _poly_laguerre(*params, n, mode)
     if k is FamilyKind.BESSEL:
-        return _poly_bessel(_p(f.params[0], mode), _p(f.params[1], mode), n, mode)
+        return _poly_bessel(*params, n, mode)
     if k is FamilyKind.DUAL_HAHN:
-        g, d = _p(f.params[0], mode), _p(f.params[1], mode)
-        return _poly_dual_hahn(g, d, int(f.params[2]), n, mode)
+        return _poly_dual_hahn(params[0], params[1], int(f.params[2]), n, mode)
     if k is FamilyKind.CONTINUOUS_DUAL_HAHN:
-        a, b, c = (_p(v, mode) for v in f.params)
-        return _poly_cdh(a, b, c, n, mode)
+        return _poly_cdh(*params, n, mode)
     raise ValidationError(f"unsupported family {k}")
 
 
@@ -249,34 +241,35 @@ def _poly_by_recurrence(n, mode, uvw):
     if n == 0:
         return prev
     x = Polynomial.x(mode)
+    one = to_mode(1, mode)
     u0, v0, _ = uvw(0)
-    cur = (x - Polynomial((v0,), mode)) * (1 / u0 if mode is Mode.FLOAT else Fraction(1) / u0)
+    cur = (x - Polynomial((v0,), mode)) * (one / u0)
     for m in range(1, n):
         u, v, w = uvw(m)
-        scale = 1.0 / float(u) if mode is Mode.FLOAT else Fraction(1) / u
+        scale = one / u
         cur, prev = ((x - Polynomial((v,), mode)) * cur - prev * w) * scale, cur
     return cur
 
 
 def _poly_jacobi(alpha, beta, n, mode):
     # ((alpha+1)_n / n!) * 3-parameter hypergeometric sum in (1 - x)/2.
-    half = _p(Fraction(1, 2), mode)
+    half = to_mode(Fraction(1, 2), mode)
     base = Polynomial((half, -half), mode)
     acc = Polynomial.one(mode)
     power = Polynomial.one(mode)
-    coef = _p(1, mode)
+    coef = to_mode(1, mode)
     for j in range(n):
         coef = coef * (-(n - j)) * (n + alpha + beta + 1 + j) / ((alpha + 1 + j) * (j + 1))
         power = power * base
         acc = acc + power * coef
-    lead = pochhammer(alpha + 1, n) / _p(math.factorial(n), mode)
+    lead = pochhammer(alpha + 1, n) / to_mode(math.factorial(n), mode)
     return acc * lead
 
 
 def _poly_laguerre(alpha, n, mode):
     coeffs = []
     for j in range(n + 1):
-        c = pochhammer(alpha + j + 1, n - j) / _p(math.factorial(n - j) * math.factorial(j), mode)
+        c = pochhammer(alpha + j + 1, n - j) / to_mode(math.factorial(n - j) * math.factorial(j), mode)
         coeffs.append(c if j % 2 == 0 else -c)
     return Polynomial(coeffs, mode)
 
@@ -284,8 +277,8 @@ def _poly_laguerre(alpha, n, mode):
 def _poly_bessel(a, b, n, mode):
     coeffs = []
     for j in range(n + 1):
-        num = _p(math.factorial(n) // math.factorial(n - j), mode) * pochhammer(a + n - 1, j)
-        coeffs.append(num / (_p(math.factorial(j), mode) * b**j))
+        num = to_mode(math.factorial(n) // math.factorial(n - j), mode) * pochhammer(a + n - 1, j)
+        coeffs.append(num / (to_mode(math.factorial(j), mode) * b**j))
     return Polynomial(coeffs, mode)
 
 
@@ -294,7 +287,7 @@ def _poly_dual_hahn(g, d, N, n, mode):
     lam = Polynomial.x(mode)
     acc = Polynomial.one(mode)
     prod = Polynomial.one(mode)
-    coef = _p(1, mode)
+    coef = to_mode(1, mode)
     for j in range(n):
         prod = prod * (Polynomial((j * (g + d + 1 + j),), mode) - lam)
         coef = coef * (-(n - j)) / ((g + 1 + j) * (-N + j) * (j + 1))
@@ -306,15 +299,12 @@ def _poly_cdh(a, b, c, n, mode):
     z = Polynomial.x(mode)
     acc = Polynomial.one(mode)
     prod = Polynomial.one(mode)
-    coef = _p(1, mode)
+    coef = to_mode(1, mode)
     for j in range(n):
         prod = prod * (z + Polynomial(((a + j) ** 2,), mode))
         coef = coef * (-(n - j)) / ((a + b + j) * (a + c + j) * (j + 1))
         acc = acc + prod * coef
     return acc * (pochhammer(a + b, n) * pochhammer(a + c, n))
-
-
-_RECURRENCE_CACHE: dict[tuple, tuple] = {}
 
 
 def recurrence_coeffs(f: Family, n: int):
@@ -347,24 +337,18 @@ def recurrence_coeffs(f: Family, n: int):
         alpha, beta = f.params
         s = 2 * n + alpha + beta
         if n == 0:
-            u = 2 / (alpha + beta + 2) if scalar_mode(alpha + beta) is Mode.FLOAT else Fraction(2, 1) / (alpha + beta + 2)
+            u = Fraction(2) / (alpha + beta + 2)  # a float for float parameters
             v = (beta - alpha) / (alpha + beta + 2)
             return (u, v, 0)
         u = 2 * (n + 1) * (n + alpha + beta + 1) / ((s + 1) * (s + 2))
         v = (beta - alpha) * (beta + alpha) / (s * (s + 2))
         w = 2 * (n + alpha) * (n + beta) / (s * (s + 1))
         return (u, v, w)
-    return _solved_recurrence(f, n)
+    return _solved_recurrence(f, n, resolve_mode(None, f.params_exact()))
 
 
-def _solved_recurrence(f: Family, n: int):
-    # The mode is part of every cache key: Family(k, (2.25,)) and
-    # Family(k, (Fraction(9, 4),)) compare and hash equal.
-    mode = Mode.EXACT if f.params_exact() else Mode.FLOAT
-    key = (f.kind, f.params, n, mode)
-    cached = _RECURRENCE_CACHE.get(key)
-    if cached is not None:
-        return cached
+@lru_cache(maxsize=_SOLVE_CACHE_SIZE)
+def _solved_recurrence(f: Family, n: int, mode: Mode):
     phi_n = family_polynomial(f, n, mode)
     phi_up = family_polynomial(f, n + 1, mode)
     x_phi = Polynomial.x(mode) * phi_n
@@ -378,8 +362,12 @@ def _solved_recurrence(f: Family, n: int):
         w = (x_phi.coeff(n - 1) - u * phi_up.coeff(n - 1) - v * phi_n.coeff(n - 1)) / phi_dn.leading()
         residual = x_phi - phi_up * u - phi_n * v - phi_dn * w
     _assert_small(residual, mode, f"three-term recurrence solve for {f.kind.value} at n={n}")
-    _RECURRENCE_CACHE[key] = (u, v, w)
     return (u, v, w)
+
+
+def _typed_coeffs(f: Family, mode: Mode):
+    """recurrence_coeffs of the family, each coefficient typed for the mode."""
+    return lambda n: tuple(to_mode(c, mode) for c in recurrence_coeffs(f, n))
 
 
 def _assert_small(residual: Polynomial, mode: Mode, what: str, tol: float = 1e-9) -> None:
@@ -395,29 +383,26 @@ def _assert_small(residual: Polynomial, mode: Mode, what: str, tol: float = 1e-9
 def eval_family(f: Family, n: int, x):
     """phi_n(x) by forward three-term recurrence from phi_0, phi_1.
 
-    Exact when both x and the family parameters are exact.  An OverflowError
-    is raised if intermediate values exceed the float range; use
-    eval_family_log in that regime.
+    Exact when both x and the family parameters are exact; an exact x with
+    float parameters is a ValidationError.  FamilyOverflowError (a
+    ValidationError and an OverflowError) is raised if intermediate values
+    exceed 1e300; use eval_family_log in that regime.
     """
     if n < 0:
         raise ValidationError("degree must be nonnegative")
     tr = f.truncation()
     if tr is not None and n > tr:
         raise FamilyTruncationError(f"{f.kind.value} truncates at degree {tr}")
-    xm = scalar_mode(x)
-    exact = f.params_exact() and xm is not Mode.FLOAT
-    if xm is Mode.EXACT and not f.params_exact():
-        raise ModeError("exact argument with float family parameters")
-    conv = Fraction if exact else float
-    values = _recurrence(lambda m: tuple(map(conv, recurrence_coeffs(f, m))), conv(x), n)
-    if not exact and any(abs(v) > 1e300 for v in values):
-        raise OverflowError("family value exceeds 1e300; use eval_family_log")
+    mode = resolve_mode(scalar_mode(x), f.params_exact(), "rational family parameters")
+    values = _recurrence(_typed_coeffs(f, mode), to_mode(x, mode), n)
+    if mode is Mode.FLOAT and any(abs(v) > 1e300 for v in values):
+        raise FamilyOverflowError(f"{f.kind.value} value at degree <= {n} exceeds 1e300; use eval_family_log")
     return values[-1]
 
 
 def eval_family_log(f: Family, n: int, x) -> tuple[float, float]:
     """(sign, log|phi_n(x)|) via a rescaled recurrence; safe for large values."""
-    return _recurrence_log(lambda m: tuple(map(float, recurrence_coeffs(f, m))), float(x), n)[-1]
+    return _recurrence_log(_typed_coeffs(f, Mode.FLOAT), float(x), n)[-1]
 
 
 def bochner_ode(f: Family, mode: Mode | None = None):
@@ -428,28 +413,28 @@ def bochner_ode(f: Family, mode: Mode | None = None):
     """
     if f.kind not in _BOCHNER_KINDS:
         raise ValidationError(f"{f.kind.value} is not one of the second-order ODE families")
-    mode = _family_mode(f, mode)
-    one = _p(1, mode)
+    mode = resolve_mode(mode, f.params_exact(), "rational family parameters")
+    one = to_mode(1, mode)
     k = f.kind
     if k is FamilyKind.JACOBI:
-        alpha, beta = (_p(v, mode) for v in f.params)
+        alpha, beta = (to_mode(v, mode) for v in f.params)
         A = Polynomial((one, 0, -one), mode)
         B = Polynomial((beta - alpha, -(alpha + beta + 2 * one)), mode)
         return A, B, lambda n: n * (n + alpha + beta + 1)
     if k is FamilyKind.CHEBYSHEV_T:
         A = Polynomial((one, 0, -one), mode)
         B = Polynomial((0, -one), mode)
-        return A, B, lambda n: _p(n * n, mode)
+        return A, B, lambda n: to_mode(n * n, mode)
     if k is FamilyKind.LAGUERRE:
-        alpha = _p(f.params[0], mode)
-        return Polynomial((0, one), mode), Polynomial((alpha + 1, -one), mode), lambda n: _p(n, mode)
+        alpha = to_mode(f.params[0], mode)
+        return Polynomial((0, one), mode), Polynomial((alpha + 1, -one), mode), lambda n: to_mode(n, mode)
     if k is FamilyKind.HERMITE:
-        return Polynomial((one,), mode), Polynomial((0, -2 * one), mode), lambda n: _p(2 * n, mode)
+        return Polynomial((one,), mode), Polynomial((0, -2 * one), mode), lambda n: to_mode(2 * n, mode)
     if k is FamilyKind.BESSEL:
-        a, b = (_p(v, mode) for v in f.params)
+        a, b = (to_mode(v, mode) for v in f.params)
         return Polynomial((0, 0, one), mode), Polynomial((b, a), mode), lambda n: -n * (n + a - 1)
     # monomials
-    return Polynomial((0, 0, one), mode), Polynomial((0, one), mode), lambda n: _p(-n * n, mode)
+    return Polynomial((0, 0, one), mode), Polynomial((0, one), mode), lambda n: to_mode(-n * n, mode)
 
 
 def bochner_residual(f: Family, n: int, samples):
@@ -459,20 +444,16 @@ def bochner_residual(f: Family, n: int, samples):
     polynomial, so the residual is exact in EXACT mode.
     """
     modes = {scalar_mode(s) for s in samples}
-    exact = Mode.FLOAT not in modes and f.params_exact()
-    mode = Mode.EXACT if exact else Mode.FLOAT
+    mode = resolve_mode(None, Mode.FLOAT not in modes and f.params_exact())
     A, B, lam = bochner_ode(f, mode)
     phi = family_polynomial(f, n, mode)
     residual = A * phi.derivative().derivative() + B * phi.derivative() + phi * lam(n)
-    worst = _p(0, mode)
+    worst = to_mode(0, mode)
     for s in samples:
-        val = abs(residual(Fraction(s) if exact else float(s)))
+        val = abs(residual(to_mode(s, mode)))
         if val > worst:
             worst = val
     return worst
-
-
-_ASC_CACHE: dict[tuple, tuple] = {}
 
 
 def asc_relation(f: Family, n: int):
@@ -485,8 +466,8 @@ def asc_relation(f: Family, n: int):
     k = f.kind
     if k not in _BOCHNER_KINDS or k is FamilyKind.CHEBYSHEV_T:
         raise ValidationError("structure relation provided for Jacobi/Laguerre/Hermite/Bessel/monomials")
-    mode = Mode.EXACT if f.params_exact() else Mode.FLOAT
-    one = _p(1, mode)
+    mode = resolve_mode(None, f.params_exact())
+    one = to_mode(1, mode)
     if k is FamilyKind.HERMITE:
         return Polynomial((one,), mode), 0, 0, 2 * n
     if k is FamilyKind.LAGUERRE:
@@ -494,11 +475,13 @@ def asc_relation(f: Family, n: int):
         return Polynomial((0, one), mode), 0, n, -(n + alpha) if n else 0
     if k is FamilyKind.MONOMIAL:
         return Polynomial((0, one), mode), 0, n, 0
-    key = (f.kind, f.params, n, mode)
-    cached = _ASC_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if k is FamilyKind.JACOBI:
+    return _solved_asc(f, n, mode)
+
+
+@lru_cache(maxsize=_SOLVE_CACHE_SIZE)
+def _solved_asc(f: Family, n: int, mode: Mode):
+    one = to_mode(1, mode)
+    if f.kind is FamilyKind.JACOBI:
         G = Polynomial((one, 0, -one), mode)
     else:  # Bessel
         G = Polynomial((0, 0, one), mode)
@@ -515,9 +498,7 @@ def asc_relation(f: Family, n: int):
         c_c = (lhs.coeff(n - 1) - a_c * phi_up.coeff(n - 1) - b_c * phi_n.coeff(n - 1)) / phi_dn.leading()
         residual = lhs - phi_up * a_c - phi_n * b_c - phi_dn * c_c
     _assert_small(residual, mode, f"structure-relation solve for {f.kind.value} at n={n}")
-    out = (G, a_c, b_c, c_c)
-    _ASC_CACHE[key] = out
-    return out
+    return (G, a_c, b_c, c_c)
 
 
 def cdh_weight(b, N: int, gamma):

@@ -6,6 +6,13 @@ FLOAT uses IEEE doubles (spectra, quadrature).  Plain ints are accepted in
 either mode.  All values are immutable after construction, so they can be
 shared freely across threads; the only internal mutability is the memoized
 coefficient cache of a degree-lowering operator, whose fills are idempotent.
+
+The exact-or-float policy of every pipeline is three helpers: ``read_scalar``
+reads a model input into its float value and, when it is rational, its exact
+Fraction (rejecting what is not finite as a float); ``resolve_mode`` maps a
+``mode`` argument to a Mode (None is EXACT when rational data exist, else
+FLOAT; EXACT without them is a ValidationError); ``to_mode`` types one
+constant for a mode.
 """
 
 from __future__ import annotations
@@ -26,6 +33,9 @@ __all__ = [
     "DegreeLoweringError",
     "scalar_mode",
     "coerce_scalar",
+    "read_scalar",
+    "resolve_mode",
+    "to_mode",
     "derivative_op",
     "second_derivative_op",
     "q_derivative_op",
@@ -80,22 +90,66 @@ def format_scalar(value) -> str:
     return repr(float(value))
 
 
+def read_scalar(value) -> tuple[float, Fraction | None]:
+    """A model input as (float value, exact value or None).
+
+    Fractions, ints and numeric text ("9/4", "2.25", "7") are rational and
+    keep their exact value; a float keeps None.
+
+    Raises:
+        ValidationError: for text that is not a number and for any value
+            that is not finite as a float (NaN, +-inf, 10**400).
+    """
+    try:
+        exact = Fraction(value) if isinstance(value, (str, Fraction, numbers.Integral)) else None
+        as_float = float(value if exact is None else exact)
+    except (ValueError, ZeroDivisionError, OverflowError):  # "nan", "abc", "1/0", 10**400
+        as_float = math.nan
+    if not math.isfinite(as_float):
+        raise ValidationError(f"{value!r} is not a number finite as a float")
+    return as_float, exact
+
+
+def resolve_mode(mode: Mode | None, rational: bool, what: str = "rational data") -> Mode:
+    """The mode a computation runs in: ``mode`` if given, else EXACT when
+    ``rational`` data exist and FLOAT otherwise.
+
+    Raises:
+        ValidationError: EXACT asked for without rational data (``what``
+            names the data in the message).
+    """
+    if mode is None:
+        return Mode.EXACT if rational else Mode.FLOAT
+    if mode is Mode.EXACT and not rational:
+        raise ValidationError(f"exact mode needs {what}")
+    return mode
+
+
+def to_mode(value, mode: Mode):
+    """``value`` as a constant of ``mode``: a Fraction in EXACT, a float in FLOAT."""
+    if mode is Mode.EXACT:
+        return Fraction(value)
+    return float(value)
+
+
 def _parse_scalar(token: str):
-    """One text scalar: "p/q" is a Fraction, a token with ".", "e" or "E" a
-    float, anything else an int.  A zero denominator or a float that is not
-    finite is rejected."""
+    """One text scalar: "p/q" is a Fraction, an integer literal an int,
+    anything else a float.  A zero denominator or a float that is not
+    finite ("nan", "inf", "1e400") is rejected."""
     token = token.strip()
     if "/" in token:
         try:
             return Fraction(token)
         except ZeroDivisionError:
             raise ValidationError(f"scalar {token!r} has a zero denominator") from None
-    if any(ch in token for ch in ".eE"):
-        value = float(token)
-        if not math.isfinite(value):
-            raise ValidationError(f"scalar {token!r} is not finite as a float")
-        return value
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValidationError(f"scalar {token!r} is not finite as a float")
+    return value
 
 
 class Polynomial:
@@ -359,8 +413,15 @@ def q_derivative_op(q) -> DegreeLoweringOperator:
         qmode = Mode.EXACT
     if q == 0 or q == 1:
         raise ValueError("q-derivative requires q not in {0, 1}")
-    one = Fraction(1) if qmode is Mode.EXACT else 1.0
-    return DegreeLoweringOperator(1, lambda k: (one - q**k) / (one - q), label=f"D_q[q={q}]", mode=qmode)
+    one = to_mode(1, qmode)
+
+    def d(k: int):
+        try:
+            return (one - q**k) / (one - q)
+        except OverflowError:  # a float q**k beyond the float range
+            raise ValidationError(f"q-derivative coefficient d({k}) overflows for q = {q}") from None
+
+    return DegreeLoweringOperator(1, d, label=f"D_q[q={q}]", mode=qmode)
 
 
 def compose(outer: DegreeLoweringOperator, inner: DegreeLoweringOperator) -> DegreeLoweringOperator:

@@ -139,6 +139,8 @@ class TestScalarInput:
             ["--mode", "float", "families", "--family", "jacobi:1e400,0", "--n", "2", "--recurrence"],
             ["--mode", "float", "tridiag", "--A", "0,0,0,1e400", "--B", "0,0,1", "--C", "0,1", "--n", "3"],
             ["families", "--family", "jacobi:1/0,0", "--n", "2", "--recurrence"],
+            ["families", "--family", "jacobi:nan,0", "--n", "2", "--recurrence"],
+            ["families", "--family", "laguerre:inf", "--n", "2", "--recurrence"],
             ["tridiag", "--A", "0,0,0,1/0", "--B", "0,0,1", "--C", "0,1", "--n", "3"],
         ],
     )
@@ -167,7 +169,7 @@ class TestDeterminism:
             capsys, ["--quad-rtol", "1e-9", "morse", "--b", "2.25", "--levels"]
         )
         assert report["tolerances"]["quad_rtol"] == 1e-9
-        assert report["tolerances"]["block_tol"] == 1e-12
+        assert set(report["tolerances"]) == {"quad_rtol", "residual_tol"}
         assert report["tolerances"]["residual_tol"] == 1e-9
 
     def test_env_mode_override(self, capsys, monkeypatch):

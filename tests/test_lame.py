@@ -47,6 +47,21 @@ class TestModel:
         with pytest.raises(ValidationError):
             build_lame_model(1, 1, -2, 2)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (math.nan, -1.0, -2.0, 2.0),
+            (3.0, -1.0, -2.0, math.inf),
+            (3.0, -1.0, -2.0, math.nan),
+            ("1e400", -1, -2, 2),
+            ("nan", -1, -2, 2),
+            (3, -1, -2, "inf"),
+        ],
+    )
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValidationError, match="finite"):
+            build_lame_model(*args)
+
 
 class TestOperators:
     def test_algebraic_structure(self):
@@ -158,6 +173,8 @@ class TestEvenSpectrum:
             even_spectrum(build_lame_model(3, -1, -2, 3))
         with pytest.raises(ValidationError):
             even_spectrum(build_lame_model(3, -1, -2, F(5, 2)))
+        with pytest.raises(ValidationError, match="block"):
+            even_spectrum(build_lame_model(3, -1, -2, 2002))
 
 
 class TestOrthonormalForm:

@@ -42,10 +42,16 @@ class TestModel:
         with pytest.raises(ValidationError):
             build_morse_model(-1.0)
 
-    @pytest.mark.parametrize("b", [float("nan"), float("inf"), float("-inf"), F(10**400), "1e400"])
+    @pytest.mark.parametrize("b", [float("nan"), float("inf"), float("-inf"), F(10**400), "1e400", "nan", "inf"])
     def test_non_finite_rejected(self, b):
         with pytest.raises(ValidationError, match="finite"):
             build_morse_model(b)
+
+    def test_bound_state_count_capped(self):
+        assert build_morse_model(F(3999, 4)).N == 1000
+        for b in (F(4005, 4), 1001.3, "1e200"):
+            with pytest.raises(ValidationError, match="bound states"):
+                build_morse_model(b)
 
     def test_exact_parameter_kept(self):
         m = build_morse_model("9/4")

@@ -24,7 +24,7 @@ from jmatrix.opfamilies import (
     pochhammer,
     recurrence_coeffs,
 )
-from jmatrix.polycore import Polynomial
+from jmatrix.polycore import Mode, Polynomial
 
 F = Fraction
 
@@ -111,14 +111,26 @@ class TestEvalFamily:
 
     def test_overflow_guard_and_log_variant(self):
         f = Family.hermite()
-        with pytest.raises(OverflowError):
-            eval_family(f, 400, 15.0)
+        for error in (OverflowError, ValidationError):  # the CLI exits 1 on a ValidationError
+            with pytest.raises(error):
+                eval_family(f, 400, 15.0)
         sign, logmag = eval_family_log(f, 400, 15.0)
         small_sign, small_log = eval_family_log(f, 10, 1.25)
         assert abs(small_sign * math.exp(small_log) - eval_family(f, 10, 1.25)) <= 1e-10 * abs(
             eval_family(f, 10, 1.25)
         )
         assert math.isfinite(logmag) and sign in (-1.0, 1.0)
+
+
+    def test_exact_mode_needs_rational_parameters(self):
+        f = Family.jacobi(0.5, -0.25)
+        for call in (
+            lambda: family_polynomial(f, 2, Mode.EXACT),
+            lambda: bochner_ode(f, Mode.EXACT),
+            lambda: eval_family(f, 2, F(1, 3)),
+        ):
+            with pytest.raises(ValidationError, match="exact mode needs rational family parameters"):
+                call()
 
 
 class TestCacheModes:
@@ -128,11 +140,11 @@ class TestCacheModes:
     }
 
     @pytest.mark.parametrize("order", [("exact", "decimal"), ("decimal", "exact")])
-    def test_equal_parameters_keep_their_mode(self, monkeypatch, order):
+    def test_equal_parameters_keep_their_mode(self, order):
         # Family(k, (2.25,)) == Family(k, (F(9, 4),)), so only the mode in
         # the cache key keeps one spelling from reading the other's results.
-        for cache in ("_POLY_CACHE", "_RECURRENCE_CACHE", "_ASC_CACHE"):
-            monkeypatch.setattr(opfamilies, cache, {})
+        for cached in (opfamilies._family_polynomial, opfamilies._solved_recurrence, opfamilies._solved_asc):
+            cached.cache_clear()
         for spelling in order:
             jac, cdh = (Family.parse(s) for s in self.SPELLINGS[spelling])
             want = F if spelling == "exact" else float

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jmatrix.errors import ValidationError
 from jmatrix.polycore import (
     DegreeLoweringError,
     Mode,
@@ -13,7 +14,10 @@ from jmatrix.polycore import (
     format_polynomial,
     parse_polynomial,
     q_derivative_op,
+    read_scalar,
+    resolve_mode,
     second_derivative_op,
+    to_mode,
 )
 
 F = Fraction
@@ -141,6 +145,12 @@ class TestLoweringOperators:
         with pytest.raises(ModeError):
             D(Polynomial([0, 0, F(1)]))
 
+    def test_float_coefficient_overflow_rejected(self):
+        D = q_derivative_op(1e200)  # q**2 is beyond the float range
+        assert D.coefficient(1) == 1.0
+        with pytest.raises(ValidationError, match=r"d\(2\) overflows"):
+            D.coefficient(2)
+
 
 class TestTextFormat:
     def test_examples(self):
@@ -157,3 +167,43 @@ class TestTextFormat:
     def test_float_tokens(self):
         p = parse_polynomial("0.5,-3.0")
         assert p.mode is Mode.FLOAT and p(1.0) == -2.5
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "infinity", "NaN", "1e400"])
+    def test_non_finite_tokens_rejected(self, token):
+        with pytest.raises(ValidationError, match=f"scalar '{token}' is not finite"):
+            parse_polynomial(f"1,{token}")
+
+
+class TestScalarPolicy:
+    @pytest.mark.parametrize(
+        "value, want",
+        [
+            (F(9, 4), (2.25, F(9, 4))),
+            (7, (7.0, F(7))),
+            ("9/4", (2.25, F(9, 4))),
+            ("2.25", (2.25, F(9, 4))),
+            ("0.1", (0.1, F(1, 10))),
+            (2.25, (2.25, None)),
+        ],
+    )
+    def test_read_scalar(self, value, want):
+        assert read_scalar(value) == want
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), "nan", "inf", "-infinity", "1e400", F(10**400), "abc"]
+    )
+    def test_read_scalar_rejects_non_finite(self, value):
+        with pytest.raises(ValidationError):
+            read_scalar(value)
+
+    def test_resolve_mode(self):
+        assert resolve_mode(None, True) is Mode.EXACT
+        assert resolve_mode(None, False) is Mode.FLOAT
+        assert resolve_mode(Mode.FLOAT, True) is Mode.FLOAT
+        assert resolve_mode(Mode.EXACT, True) is Mode.EXACT
+        with pytest.raises(ValidationError, match="exact mode needs a rational b"):
+            resolve_mode(Mode.EXACT, False, "a rational b")
+
+    def test_to_mode(self):
+        assert type(to_mode(F(1, 4), Mode.EXACT)) is F and to_mode(F(1, 4), Mode.FLOAT) == 0.25
+        assert type(to_mode(3, Mode.EXACT)) is F and type(to_mode(3, Mode.FLOAT)) is float
