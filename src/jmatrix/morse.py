@@ -189,18 +189,19 @@ def bound_state_energies(model: MorseModel) -> list[float]:
 def bound_states(model: MorseModel) -> SpectrumResult:
     """Eigendecomposition of the N-dimensional bound block.
 
-    Cross-checked against the closed-form energies to 1e-10; disagreement
-    raises InternalConsistencyError (never returns silently wrong data).
+    Cross-checked against the closed-form energies E to 1e-10 * max(1, |E|)
+    (the energies grow like b^2); disagreement raises InternalConsistencyError
+    (never returns silently wrong data).
     """
     N = model.N
     if N == 0:
         return SpectrumResult(np.empty(0), np.empty((0, 0)), (0, 0))
     result = jacspec.eig_block(morse_jacobi_operator(model), (0, N))
     expected = bound_state_energies(model)
-    worst = max(abs(l - e) for l, e in zip(result.eigenvalues, expected))
+    worst = max(abs(l - e) / max(1.0, abs(e)) for l, e in zip(result.eigenvalues, expected))
     if worst > 1e-10:
         raise InternalConsistencyError(
-            f"bound-state eigensolve disagrees with the closed form by {worst:.3e}"
+            f"bound-state eigensolve disagrees with the closed form by {worst:.3e} (relative to max(1, |E|))"
         )
     return result
 

@@ -335,9 +335,11 @@ def recurrence_coeffs(f: Family, n: int):
         return (-(n + 1), 2 * n + alpha + 1, -(n + alpha) if n else 0)
     if k is FamilyKind.JACOBI:
         alpha, beta = f.params
+        if f.params_exact():  # int parameters too: int / int would be a float
+            alpha, beta = Fraction(alpha), Fraction(beta)
         s = 2 * n + alpha + beta
         if n == 0:
-            u = Fraction(2) / (alpha + beta + 2)  # a float for float parameters
+            u = 2 / (alpha + beta + 2)
             v = (beta - alpha) / (alpha + beta + 2)
             return (u, v, 0)
         u = 2 * (n + 1) * (n + alpha + beta + 1) / ((s + 1) * (s + 2))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -90,6 +91,12 @@ def format_scalar(value) -> str:
     return repr(float(value))
 
 
+# Decimal text with a larger exponent is rejected before Fraction expands it:
+# Fraction("1e-1000000") alone takes a third of a second.
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def read_scalar(value) -> tuple[float, Fraction | None]:
     """A model input as (float value, exact value or None).
 
@@ -97,9 +104,15 @@ def read_scalar(value) -> tuple[float, Fraction | None]:
     keep their exact value; a float keeps None.
 
     Raises:
-        ValidationError: for text that is not a number and for any value
-            that is not finite as a float (NaN, +-inf, 10**400).
+        ValidationError: for text that is not a number, for text whose
+            decimal exponent exceeds MAX_DECIMAL_EXPONENT in size, and for
+            any value that is not finite as a float (NaN, +-inf, 10**400).
     """
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValidationError(f"{value!r} has a decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
     try:
         exact = Fraction(value) if isinstance(value, (str, Fraction, numbers.Integral)) else None
         as_float = float(value if exact is None else exact)
@@ -152,6 +165,16 @@ def _parse_scalar(token: str):
     return value
 
 
+def _from_zero(cs, mode: Mode):
+    """``cs`` as the sums they would be had they started at the mode's zero.
+
+    In FLOAT, 0.0 + c is c except that -0.0 becomes 0.0; EXACT has no signed
+    zero.  Arithmetic whose sums skip the zero start passes them through
+    this, so float results stay bit-identical to zero-started sums.
+    """
+    return cs if mode is Mode.EXACT else [c + 0.0 for c in cs]
+
+
 class Polynomial:
     """Dense univariate polynomial with ascending coefficients in one mode.
 
@@ -170,10 +193,21 @@ class Polynomial:
             mode = modes.pop() if modes else Mode.EXACT
         elif modes and modes != {mode}:
             raise ModeError(f"{modes.pop().value} coefficients with mode={mode.value}")
-        cs = [coerce_scalar(c, mode) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._fill([coerce_scalar(c, mode) for c in coeffs], mode)
+
+    @classmethod
+    def _of(cls, coeffs: Sequence, mode: Mode) -> "Polynomial":
+        """Trusted constructor for computed results: ``coeffs`` already hold
+        scalars of ``mode`` only, so nothing is re-classified or coerced."""
+        p = object.__new__(cls)
+        p._fill(coeffs, mode)
+        return p
+
+    def _fill(self, coeffs: Sequence, mode: Mode) -> None:
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        object.__setattr__(self, "coeffs", tuple(coeffs[:n]))
         object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -236,29 +270,37 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(k) + other.coeff(k) for k in range(n)], self.mode)
+        a, b = self.coeffs, other.coeffs
+        out = [x + y for x, y in zip(a, b)]
+        out += _from_zero(a[len(b):] or b[len(a):], self.mode)
+        return Polynomial._of(out, self.mode)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(k) - other.coeff(k) for k in range(n)], self.mode)
+        a, b = self.coeffs, other.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        out += a[len(b):]  # c - 0 is c, signed zeros included
+        out += _from_zero([-c for c in b[len(a):]], self.mode)
+        return Polynomial._of(out, self.mode)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs], self.mode)
+        return Polynomial._of([-c for c in self.coeffs], self.mode)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check(other)
-            if not self.coeffs or not other.coeffs:
-                return Polynomial.zero(self.mode)
-            out = [coerce_scalar(0, self.mode)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out, self.mode)
+            a, b = self.coeffs, other.coeffs
+            if not a or not b:
+                return Polynomial._of((), self.mode)
+            # out[i + j] sums a[i] * b[j] in increasing i; row 0 starts the
+            # first len(b) sums, row i >= 1 starts slot i + len(b) - 1
+            out = [a[0] * y for y in b]
+            for i in range(1, len(a)):
+                x = a[i]
+                out[i:] = [s + x * y for s, y in zip(out[i:], b)] + [x * b[-1]]
+            return Polynomial._of(_from_zero(out, self.mode), self.mode)
         s = coerce_scalar(other, self.mode)
-        return Polynomial([c * s for c in self.coeffs], self.mode)
+        return Polynomial._of([c * s for c in self.coeffs], self.mode)
 
     __rmul__ = __mul__
 
@@ -279,7 +321,7 @@ class Polynomial:
             if c != 0:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= c * b
-        return Polynomial(quot, self.mode), Polynomial(rem[: len(other.coeffs) - 1], self.mode)
+        return Polynomial._of(quot, self.mode), Polynomial._of(rem[: len(other.coeffs) - 1], self.mode)
 
     def shift_affine(self, a, b) -> "Polynomial":
         """Return q with q(y) = p(a*y + b); requires a != 0."""
@@ -294,12 +336,12 @@ class Polynomial:
         return acc
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:], self.mode)
+        return Polynomial._of([k * c for k, c in enumerate(self.coeffs[1:], 1)], self.mode)
 
     def to_float(self) -> "Polynomial":
         if self.mode is Mode.FLOAT:
             return self
-        return Polynomial([float(c) for c in self.coeffs], Mode.FLOAT)
+        return Polynomial._of([float(c) for c in self.coeffs], Mode.FLOAT)
 
     # -- comparisons / display ---------------------------------------------------
 
@@ -378,12 +420,13 @@ class DegreeLoweringOperator:
         """Linear extension of the monomial action; lowers degree by ``shift``."""
         if self.mode is not None and self.mode is not p.mode:
             raise ModeError(f"{self.mode.value} operator applied to {p.mode.value} polynomial")
-        out = [coerce_scalar(0, p.mode)] * max(len(p.coeffs) - self.shift, 0)
-        for k in range(self.shift, len(p.coeffs)):
-            c = p.coeffs[k]
-            if c != 0:
-                out[k - self.shift] += c * coerce_scalar(self.coefficient(k), p.mode)
-        return Polynomial(out, p.mode)
+        mode = p.mode
+        zero = to_mode(0, mode)
+        out = [
+            c * coerce_scalar(self.coefficient(k), mode) if c != 0 else zero
+            for k, c in enumerate(p.coeffs[self.shift:], self.shift)
+        ]
+        return Polynomial._of(_from_zero(out, mode), mode)
 
     __call__ = apply
 

@@ -120,9 +120,24 @@ class TDOperator:
 
     def leading_action(self, k: int):
         """Coefficient of x^(k+1) in L x^k: alpha_3 d'_k + beta_2 d_k + gamma_1."""
-        val = self.A.coeff(3) * coerce_scalar(self.T.coefficient(k), self.mode)
-        val += self.B.coeff(2) * coerce_scalar(self.S.coefficient(k), self.mode)
-        return val + self.C.coeff(1)
+        return self._monomial_action(k)[3]
+
+    def _monomial_action(self, j: int) -> tuple:
+        """The coefficients of x^(j-2), x^(j-1), x^j, x^(j+1) in L x^j.
+
+        L x^j = d'_j A x^(j-2) + d_j B x^(j-1) + C x^j, where d_j and d'_j
+        are the monomial coefficients of S and T (zero for j below their
+        shift), so L x^j has these four bands and no others.
+        """
+        dd = coerce_scalar(self.T.coefficient(j), self.mode)
+        d = coerce_scalar(self.S.coefficient(j), self.mode)
+        a, b, c = self.A.coeff, self.B.coeff, self.C.coeff
+        return (
+            a(0) * dd,
+            a(1) * dd + b(0) * d,
+            a(2) * dd + b(1) * d + c(0),
+            a(3) * dd + b(2) * d + c(1),
+        )
 
     def to_float(self) -> "TDOperator":
         return TDOperator(self.A.to_float(), self.B.to_float(), self.C.to_float(), self.S, self.T)
@@ -217,6 +232,14 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
     are solved from the coefficient-matching equations, and any coefficient
     left undetermined by A_k = 0 is set to zero.
 
+    L y_k is formed from the coefficients of y_k and the four-band monomial
+    action (L x^j spans x^(j-2) .. x^(j+1); see ``TDOperator``), computed
+    once per degree: O(k) scalar work per step and no polynomial products.
+    :meth:`Tridiagonalization.verify` re-applies L through ``op.apply``, so
+    it checks this construction independently.  In FLOAT mode the band
+    scalars are rounded before they multiply y_k, so results may differ in
+    the last bits from a product-by-product application of L.
+
     Raises:
         TridiagonalizationError: if A_k = 0 at some k >= 2 leaves the lower
             coefficient equations inconsistent (no basis with the canonical
@@ -228,16 +251,25 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
     zero = coerce_scalar(0, mode)
     one = coerce_scalar(1, mode)
     ys = [Polynomial.one(mode)]
+    bands = []  # bands[j]: the coefficients of x^(j-2) .. x^(j+1) in L x^j
     An, Bn, Cn = [], [], []
     for k in range(n_max):
-        Ly = op.apply(ys[k])
-        a_k = Ly.coeff(k + 1)
-        b_k = Ly.coeff(k)
-        c_k = zero if k == 0 else Ly.coeff(k - 1) - b_k * ys[k].coeff(k - 1)
+        bands.append(op._monomial_action(k))
+        y = ys[k].coeffs
+        Ly = [zero] + [c * band[3] for c, band in zip(y, bands)]
+        for j in range(k + 1):
+            Ly[j] += y[j] * bands[j][2]
+        for j in range(1, k + 1):
+            Ly[j - 1] += y[j] * bands[j][1]
+        for j in range(2, k + 1):
+            Ly[j - 2] += y[j] * bands[j][0]
+        a_k = Ly[k + 1]
+        b_k = Ly[k]
+        c_k = zero if k == 0 else Ly[k - 1] - b_k * y[k - 1]
         coeffs = [zero] * (k + 2)
         coeffs[k + 1] = one
         for p in range(k - 2, -1, -1):
-            rhs = Ly.coeff(p) - b_k * ys[k].coeff(p) - c_k * ys[k - 1].coeff(p)
+            rhs = Ly[p] - b_k * y[p] - c_k * ys[k - 1].coeffs[p]
             if a_k != 0:
                 coeffs[p] = rhs / a_k
             else:
@@ -246,15 +278,15 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
                     raise TridiagonalizationError(
                         k, f"A_{k} = 0 but the x^{p} equation has nonzero right side {format_scalar(rhs)}"
                     )
-        ys.append(Polynomial(coeffs, mode))
+        ys.append(Polynomial._of(coeffs, mode))
         An.append(a_k)
         Bn.append(b_k)
         Cn.append(c_k)
     return Tridiagonalization(tuple(ys), tuple(An), tuple(Bn), tuple(Cn))
 
 
-def _coeff_scale(p: Polynomial) -> float:
-    return max((abs(float(c)) for c in p.coeffs), default=1.0) or 1.0
+def _coeff_scale(coeffs: Sequence) -> float:
+    return max((abs(float(c)) for c in coeffs), default=1.0) or 1.0
 
 
 class MomentInnerProduct:
@@ -429,22 +461,27 @@ class ReconstructedOperator:
 
 
 def reconstruct_diagonalizer(op: TDOperator, n_max: int) -> ReconstructedOperator:
-    """Build D with D x^n = sum_{k<n} (-1)^k x^k L x^(n-1-k) and D 1 = 0.
+    """Build D by D x^n = L x^(n-1) - x D x^(n-1) and D 1 = 0.
 
-    The alternating sum telescopes the anticommutator: (D X + X D) p = L p
-    for every polynomial p of degree < n_max (exactly in EXACT mode).
+    The recurrence is D X + X D = L applied to x^(n-1); unrolled, it is the
+    alternating sum D x^n = sum_{k<n} (-1)^k x^k L x^(n-1-k).  Each image
+    costs O(n) scalar work: x D x^(n-1) is a shift of the previous image
+    and L x^(n-1) has four monomial bands.  (D X + X D) p = L p holds for
+    every polynomial p of degree < n_max (exactly in EXACT mode).
     """
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
     mode = op.mode
-    l_mono = [op.apply(Polynomial.monomial(j, mode=mode)) for j in range(n_max)]
-    images = [Polynomial.zero(mode)]
+    zero = coerce_scalar(0, mode)
+    images = [Polynomial._of((), mode)]
+    prev = [zero]  # coefficients of D x^(n-1), x^0 .. x^(n-1)
     for n in range(1, n_max + 1):
-        acc = Polynomial.zero(mode)
-        for k in range(n):
-            term = Polynomial(((0,) * k) + l_mono[n - 1 - k].coeffs, mode)
-            acc = acc + term if k % 2 == 0 else acc - term
-        images.append(acc)
+        cur = [zero] + [zero - c for c in prev]  # zero - c: no float -0.0
+        for p, band in enumerate(op._monomial_action(n - 1), n - 3):
+            if p >= 0:
+                cur[p] += band
+        images.append(Polynomial._of(cur, mode))
+        prev = cur
     return ReconstructedOperator(tuple(images))
 
 

@@ -40,6 +40,19 @@ class TestMorseCommand:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "finite" in err and err.count("\n") == 1
 
+    def test_large_b_levels(self, capsys):
+        # energies of size 2.5e5: the eigensolve is 3.2e-10 from the closed
+        # form, within 1e-10 relative; b = 999.25 is the same at eight times the cost
+        status, report = run_json(capsys, ["morse", "--b", "499.25", "--levels"])
+        assert status == 0
+        eigs = report["results"]["bound_states"]["eigenvalues"]
+        assert len(eigs) == 499 and abs(eigs[0] + 498.75**2) <= 1e-10 * 498.75**2
+
+    def test_huge_exponent_is_usage_error(self, capsys):
+        assert main(["morse", "--b", "1e-100000000", "--levels"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --b:") and "exponent" in err and err.count("\n") == 1
+
     def test_csv_levels(self, capsys):
         status = main(["--out", "csv", "morse", "--b", "2.25", "--levels"])
         assert status == 0
@@ -105,6 +118,16 @@ class TestOtherCommands:
         assert status == 0
         rows = report["results"]["recurrence"]
         assert rows[1]["u"] == "1/2" and rows[1]["w"] == "1/2"
+
+    def test_integer_jacobi_parameters_are_exact(self, capsys):
+        status, report = run_json(
+            capsys, ["families", "--family", "jacobi:1,0", "--n", "2", "--recurrence"]
+        )
+        assert status == 0
+        rows = report["results"]["recurrence"]
+        assert [(r["u"], r["v"], r["w"]) for r in rows] == [
+            ("2/3", "-1/3", 0), ("3/5", "-1/15", "1/3"), ("4/7", "-1/35", "2/5")
+        ]
 
     def test_verify_single_suite(self, capsys):
         status = main(["verify", "--suite", "weight-ode"])

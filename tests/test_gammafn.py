@@ -55,3 +55,20 @@ def test_rejects_poles_and_left_reals():
         loggamma(-1.5)
     with pytest.raises(ValueError):
         gammaln_real(-2.0)
+
+
+
+def worst_error(got, refs):
+    return max(abs(g - r) / max(1.0, abs(r)) for g, r in zip(got, refs))
+
+
+def test_loggamma_against_mpmath_on_the_grid():
+    # Re z in [0, 30], |Im z| in [1e-3, 100]
+    zs = [complex(x, s * y) for x in np.linspace(0.0, 30.0, 31)
+          for y in np.geomspace(1e-3, 100.0, 21) for s in (1, -1)]
+    assert worst_error(loggamma(np.array(zs)), [complex(mpmath.loggamma(z)) for z in zs]) <= 1e-13
+
+
+def test_gammaln_real_against_mpmath():
+    xs = np.concatenate([np.geomspace(1e-3, 1.0, 40), np.linspace(1.0, 200.0, 200)])
+    assert worst_error(gammaln_real(xs), [float(mpmath.loggamma(x)) for x in xs]) <= 1e-13

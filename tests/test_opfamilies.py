@@ -71,6 +71,13 @@ class TestRecurrences:
     def test_hermite(self):
         assert recurrence_coeffs(Family.hermite(), 5) == (F(1, 2), 0, 5)
 
+    def test_jacobi_integer_parameters_are_exact(self):
+        for n in range(6):
+            u, v, w = recurrence_coeffs(Family.jacobi(2, 0), n)
+            assert (u, v, w) == recurrence_coeffs(Family.jacobi(F(2), F(0)), n)
+            assert all(type(c) is F for c in (u, v, w)[: 3 if n else 2])
+        assert all(type(c) is float for c in recurrence_coeffs(Family.jacobi(2, 0.5), 3))
+
     def test_laguerre_consistent_with_ode(self):
         # the recurrence pins the same polynomials that satisfy the family ODE
         f = Family.laguerre(F(3, 4))

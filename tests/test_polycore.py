@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -87,6 +88,58 @@ class TestArithmetic:
             exact = (p * q + p)(F(3, 7))
             approx = (p.to_float() * q.to_float() + p.to_float())(3 / 7)
             assert abs(float(exact) - approx) <= 1e-13 * max(1.0, abs(float(exact)))
+
+    @staticmethod
+    def results(p, q):
+        """Every kind of arithmetic result of p and q."""
+        return (
+            p + q, q + p, p - q, q - p, -p, p + (-p), p * q, q * p, p * 3, 3 * p, p * 0,
+            p.derivative(), derivative_op().apply(p), second_derivative_op()(p), *divmod(p, q),
+            p.shift_affine(2, 1),
+        )
+
+    def test_exact_results_hold_fractions_only(self):
+        p, q = Polynomial([1, 0, -2, 3]), Polynomial([2, 5])
+        for r in self.results(p, q) + (p * F(-1, 2), q_derivative_op(F(1, 2)).apply(p)):
+            assert r.mode is Mode.EXACT
+            assert all(type(c) is F for c in r.coeffs)
+            assert not r.coeffs or r.coeffs[-1] != 0
+
+    def test_float_results_hold_floats_only(self):
+        p, q = Polynomial([-0.0, 1.5, -0.0, 2.0]), Polynomial([-0.0, -1.0])
+        for r in self.results(p, q) + (p * -0.5, q_derivative_op(0.5).apply(p)):
+            assert r.mode is Mode.FLOAT
+            assert all(type(c) is float for c in r.coeffs)
+            assert not r.coeffs or r.coeffs[-1] != 0
+
+    def test_float_signed_zeros(self):
+        # every coefficient sum starts at 0.0, and a coefficient missing from
+        # the shorter operand counts as 0.0: -0.0 becomes 0.0 there only
+        def sign(p, k):
+            return math.copysign(1.0, p.coeffs[k])
+
+        p, one = Polynomial([1.0, -0.0, -0.0, 2.0]), Polynomial([1.0])
+        assert sign(p + one, 1) == sign(one + p, 2) == 1.0
+        assert sign(p - one, 1) == -1.0  # c - 0.0 is c
+        assert sign(one - Polynomial([1.0, 0.0, 0.0, 2.0]), 1) == 1.0  # 0.0 - 0.0 is 0.0
+        assert sign(-Polynomial([1.0, 0.0, 2.0]), 1) == -1.0
+        assert sign(p * one, 1) == sign(one * p, 2) == 1.0  # 0.0 + (-0.0 * 1.0)
+        assert sign(p * 1.0, 1) == sign(1.0 * p, 2) == -1.0  # a scalar product is one product
+        assert sign(p.derivative(), 1) == -1.0  # 2 * -0.0
+        assert sign(derivative_op().apply(Polynomial([1.0, 1.0, -0.0, 1.0])), 1) == 1.0
+
+    def test_float_product_is_the_zero_started_sum(self):
+        # out[k] = 0.0 + a[0] b[k] + a[1] b[k-1] + ..., bit for bit
+        rng = random.Random(5)
+        for _ in range(200):
+            a, b = ([rng.choice([-0.0, 0.0, rng.uniform(-4, 4)]) for _ in range(rng.randint(0, 5))] + [1.5]
+                    for _ in range(2))
+            want = [0.0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    want[i + j] += x * y
+            got = Polynomial(a) * Polynomial(b)
+            assert [c.hex() for c in got.coeffs] == [c.hex() for c in want]
 
     def test_divmod(self):
         p = Polynomial([2, 0, -3, 1])
@@ -195,6 +248,18 @@ class TestScalarPolicy:
     def test_read_scalar_rejects_non_finite(self, value):
         with pytest.raises(ValidationError):
             read_scalar(value)
+
+    @pytest.mark.parametrize(
+        "text", ["1e-1001", "1E+1001", "1e-100000000", "2.5e-0_100000000", "1e" + "9" * 5000]
+    )
+    def test_read_scalar_bounds_the_exponent(self, text):
+        # rejected before Fraction expands the exponent, which would stall
+        with pytest.raises(ValidationError, match="exponent"):
+            read_scalar(text)
+
+    @pytest.mark.parametrize("text", ["1e-1000", "2.5e3", "-7E+2", "1e-0001000", "1e1_0"])
+    def test_read_scalar_keeps_smaller_exponents(self, text):
+        assert read_scalar(text) == (float(F(text)), F(text))
 
     def test_resolve_mode(self):
         assert resolve_mode(None, True) is Mode.EXACT

@@ -10,6 +10,7 @@ from jmatrix.errors import ValidationError
 from jmatrix.polycore import (
     Mode,
     Polynomial,
+    coerce_scalar,
     derivative_op,
     q_derivative_op,
     second_derivative_op,
@@ -19,6 +20,7 @@ from jmatrix.tdop import (
     MomentInnerProduct,
     MultiplePoleError,
     NotSymmetrizableError,
+    TDOperator,
     TridiagonalizationError,
     eval_weight,
     orthogonalize,
@@ -112,7 +114,75 @@ class TestApply:
                 assert out.coeff(k - 2) == A.coeff(0) * dpk
 
 
+def tridiagonalize_by_apply(op, n_max):
+    """The canonical construction with L y_k formed by polynomial products
+    through op.apply: the oracle for the band-action tridiagonalize.
+
+    random_strict_operator keeps A_k != 0 for k >= 2, so the A_k = 0 branch
+    is left out.
+    """
+    zero, one = coerce_scalar(0, op.mode), coerce_scalar(1, op.mode)
+    ys = [Polynomial.one(op.mode)]
+    An, Bn, Cn = [], [], []
+    for k in range(n_max):
+        Ly = op.apply(ys[k])
+        a_k, b_k = Ly.coeff(k + 1), Ly.coeff(k)
+        c_k = zero if k == 0 else Ly.coeff(k - 1) - b_k * ys[k].coeff(k - 1)
+        coeffs = [zero] * (k + 2)
+        coeffs[k + 1] = one
+        for p in range(k - 2, -1, -1):
+            coeffs[p] = (Ly.coeff(p) - b_k * ys[k].coeff(p) - c_k * ys[k - 1].coeff(p)) / a_k
+        ys.append(Polynomial(coeffs, op.mode))
+        An.append(a_k)
+        Bn.append(b_k)
+        Cn.append(c_k)
+    return ys, An, Bn, Cn
+
+
+def alternating_sum_diagonalizer(op, n):
+    """D x^n by its definition, sum_{k<n} (-1)^k x^k L x^(n-1-k)."""
+    acc = Polynomial.zero(op.mode)
+    for k in range(n):
+        term = Polynomial.monomial(k, mode=op.mode) * op.apply(Polynomial.monomial(n - 1 - k, mode=op.mode))
+        acc = acc + term if k % 2 == 0 else acc - term
+    return acc
+
+
 class TestTridiagonalize:
+    def test_matches_the_apply_construction(self):
+        # 200 operators, every fourth with q-difference lowering operators
+        rng = random.Random(11)
+        for i in range(200):
+            op = random_strict_operator(rng, i, depth=16)
+            tri = tridiagonalize(op, 17)
+            ys, An, Bn, Cn = tridiagonalize_by_apply(op, 17)
+            assert (list(tri.y), list(tri.An), list(tri.Bn), list(tri.Cn)) == (ys, An, Bn, Cn)
+            assert all(type(c) is F for p in tri.y for c in p.coeffs)
+
+    def test_float_agrees_with_the_apply_construction(self):
+        # the band scalars are rounded before they multiply y_k, so FLOAT
+        # results may move in their last bits, no further
+        rng = random.Random(12)
+        for i in range(40):
+            op = random_strict_operator(rng, 4 * (i // 3) + i % 3, depth=16).to_float()
+            tri = tridiagonalize(op, 17)
+            ys, An, Bn, Cn = tridiagonalize_by_apply(op, 17)
+            got = [*tri.An, *tri.Bn, *tri.Cn] + [c for p in tri.y for c in p.coeffs]
+            want = [*An, *Bn, *Cn] + [c for p in ys for c in p.coeffs]
+            assert len(got) == len(want)
+            assert all(abs(g - w) <= 1e-10 * max(1.0, abs(w)) for g, w in zip(got, want))
+
+    def test_built_without_apply_and_verified_through_it(self, monkeypatch):
+        # verify is the independent oracle: it re-applies L, the construction does not
+        calls = []
+        apply = TDOperator.apply
+        monkeypatch.setattr(TDOperator, "apply", lambda op, p: calls.append(p) or apply(op, p))
+        op = cubic_op()
+        tri = tridiagonalize(op, 6)
+        assert calls == []
+        tri.verify(op)
+        assert len(calls) == 6
+
     def test_first_step_canonical(self):
         tri = tridiagonalize(cubic_op(), 4)
         assert tri.y[0] == P(1) and tri.y[1] == P(0, 1)
@@ -315,6 +385,24 @@ class TestReconstruction:
             for n in range(21):
                 mono = Polynomial.monomial(n)
                 assert (D.apply(x * mono) + x * D.apply(mono) - op.apply(mono)).is_zero()
+
+    def test_matches_the_alternating_sum(self):
+        rng = random.Random(13)
+        for i in range(12):
+            op = random_strict_operator(rng, i, depth=21)
+            D = reconstruct_diagonalizer(op, 21)
+            for n in range(22):
+                assert D.images[n] == alternating_sum_diagonalizer(op, n)
+
+    def test_float_matches_the_alternating_sum(self):
+        rng = random.Random(14)
+        op = random_strict_operator(rng, 0, depth=21).to_float()
+        D = reconstruct_diagonalizer(op, 21)
+        for n in range(22):
+            want = alternating_sum_diagonalizer(op, n)
+            scale = max((abs(c) for c in want.coeffs), default=1.0)
+            assert D.images[n].degree == want.degree
+            assert all(abs(D.images[n].coeff(i) - c) <= 1e-14 * scale for i, c in enumerate(want.coeffs))
 
     def test_matrix_shape(self):
         D = reconstruct_diagonalizer(cubic_op(), 4)
