@@ -372,7 +372,14 @@ def main(argv=None) -> int:
         for tol in DEFAULT_TOLERANCES:
             if not (math.isfinite(getattr(args, tol)) and getattr(args, tol) > 0):
                 raise _UsageError(f"--{tol.replace('_', '-')} must be finite and positive")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The SIGPIPE recipe of the signal docs: send what is left to devnull
+        # so the flush at exit cannot fail again, and end with status 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -69,12 +69,6 @@ class LameModel:
     def is_exact(self) -> bool:
         return self.e_exact is not None and self.m_exact is not None
 
-    def exact_constants(self) -> tuple[Fraction, Fraction, Fraction]:
-        """(a, b, alpha) as exact rationals; requires an exact model."""
-        if not self.is_exact:
-            raise ValidationError("model was not built from rational data")
-        return _affine(*self.e_exact)
-
 
 def build_lame_model(e1, e2, e3, m) -> LameModel:
     """Validate the branch values and derive the affine normalization.

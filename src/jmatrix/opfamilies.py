@@ -6,12 +6,13 @@ discrete/continuous hypergeometric families carrying the Morse operator's
 spectral data (dual Hahn, continuous dual Hahn).
 
 Normalizations follow the standard hypergeometric reference forms; the
-docstrings of the generator functions state each series.  Where the
-derivative-relation or recurrence constants are not pinned down by a
-closed form here (Bessel, dual Hahn, continuous dual Hahn, and the Jacobi
-derivative relation), they are computed per index by an exact linear solve
-against generated polynomials and cached; the full identity is verified
-after each solve, so a wrong constant cannot survive silently.
+docstrings of the generator functions state each series.  Every recurrence
+and structure-relation constant is a closed form: Koekoek, Lesky &
+Swarttouw, *Hypergeometric Orthogonal Polynomials and Their q-Analogues*
+(2010), sections 9.3 (continuous dual Hahn), 9.6 (dual Hahn) and 9.13
+(Bessel), and Szego (4.5.7) for the Jacobi structure relation.  The tests
+hold each of them to an exact linear solve against the generated
+polynomials.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InternalConsistencyError, ValidationError
+from .errors import ValidationError
 from .gammafn import gammaln_real, loggamma
 from .jacspec import JacobiOperator, _recurrence, _recurrence_log
 from .polycore import Mode, Polynomial, _parse_scalar, resolve_mode, scalar_mode, to_mode
@@ -182,10 +183,9 @@ class Family:
         return None
 
 
-# Cache bounds: a 35 s in-process loop of the CLI pipelines keeps about 1100
-# polynomials and 370 solved relations, so these hold several such runs.
+# Cache bound: a 35 s in-process loop of the CLI pipelines keeps about 1100
+# polynomials, so this holds several such runs.
 _POLY_CACHE_SIZE = 4096
-_SOLVE_CACHE_SIZE = 1024
 
 
 def family_polynomial(f: Family, n: int, mode: Mode | None = None) -> Polynomial:
@@ -210,10 +210,24 @@ def family_polynomial(f: Family, n: int, mode: Mode | None = None) -> Polynomial
 def _family_polynomial(f: Family, n: int, mode: Mode) -> Polynomial:
     poly = _generate(f, n, mode)
     if poly.degree != n:
-        raise ValidationError(
-            f"{f.kind.value}{f.params} degenerates at degree {n} (leading coefficient vanished)"
-        )
+        raise _degenerate(f, n)
     return poly
+
+
+def _degenerate(f: Family, n: int) -> ValidationError:
+    return ValidationError(f"{f.kind.value}{f.params} degenerates at degree {n} (leading coefficient vanished)")
+
+
+def _check_bessel(f: Family, n: int) -> None:
+    """Raise unless the Bessel y_0 .. y_{n+1} all keep their degree.
+
+    The leading coefficient of y_k vanishes for an integer a in [2-2k, 1-k],
+    so one of them degenerates exactly when a is an integer in [-2n, 0];
+    the first degree lost is then floor((3-a)/2).
+    """
+    a = f.params[0]
+    if a == math.floor(a) and -2 * n <= a <= 0:
+        raise _degenerate(f, (3 - int(a)) // 2)
 
 
 def _generate(f: Family, n: int, mode: Mode) -> Polynomial:
@@ -316,6 +330,8 @@ def recurrence_coeffs(f: Family, n: int):
 
     Raises:
         FamilyTruncationError: at n = N for dual Hahn (u_N vanishes there).
+        ValidationError: for a Bessel family one of whose y_0 .. y_{n+1}
+            loses its degree.
     """
     if n < 0:
         raise ValidationError("index must be nonnegative")
@@ -333,10 +349,10 @@ def recurrence_coeffs(f: Family, n: int):
     if k is FamilyKind.LAGUERRE:
         alpha = f.params[0]
         return (-(n + 1), 2 * n + alpha + 1, -(n + alpha) if n else 0)
+    mode = resolve_mode(None, f.params_exact())
+    p = tuple(to_mode(v, mode) for v in f.params)  # int / int would be a float
     if k is FamilyKind.JACOBI:
-        alpha, beta = f.params
-        if f.params_exact():  # int parameters too: int / int would be a float
-            alpha, beta = Fraction(alpha), Fraction(beta)
+        alpha, beta = p
         s = 2 * n + alpha + beta
         if n == 0:
             u = 2 / (alpha + beta + 2)
@@ -346,40 +362,30 @@ def recurrence_coeffs(f: Family, n: int):
         v = (beta - alpha) * (beta + alpha) / (s * (s + 2))
         w = 2 * (n + alpha) * (n + beta) / (s * (s + 1))
         return (u, v, w)
-    return _solved_recurrence(f, n, resolve_mode(None, f.params_exact()))
-
-
-@lru_cache(maxsize=_SOLVE_CACHE_SIZE)
-def _solved_recurrence(f: Family, n: int, mode: Mode):
-    phi_n = family_polynomial(f, n, mode)
-    phi_up = family_polynomial(f, n + 1, mode)
-    x_phi = Polynomial.x(mode) * phi_n
-    u = x_phi.coeff(n + 1) / phi_up.leading()
-    v = (x_phi.coeff(n) - u * phi_up.coeff(n)) / phi_n.leading()
-    if n == 0:
-        w = 0
-        residual = x_phi - phi_up * u - phi_n * v
-    else:
-        phi_dn = family_polynomial(f, n - 1, mode)
-        w = (x_phi.coeff(n - 1) - u * phi_up.coeff(n - 1) - v * phi_n.coeff(n - 1)) / phi_dn.leading()
-        residual = x_phi - phi_up * u - phi_n * v - phi_dn * w
-    _assert_small(residual, mode, f"three-term recurrence solve for {f.kind.value} at n={n}")
-    return (u, v, w)
+    if k is FamilyKind.BESSEL:
+        _check_bessel(f, n)
+        a, b = p
+        if n == 0:
+            return (b / a, -b / a, 0)
+        u = b * (n + a - 1) / ((2 * n + a - 1) * (2 * n + a))
+        v = b * (2 - a) / ((2 * n + a - 2) * (2 * n + a))
+        w = -b * n / ((2 * n + a - 2) * (2 * n + a - 1))
+        return (u, v, w)
+    if k is FamilyKind.DUAL_HAHN:
+        g, d, N = p
+        A = (n + g + 1) * (n - N)
+        C = n * (n - d - N - 1)
+        return (A, -(A + C), C if n else 0)
+    # continuous dual Hahn
+    a, b, c = p
+    A = (n + a + b) * (n + a + c)
+    C = n * (n + b + c - 1)
+    return (to_mode(-1, mode), A + C - a * a, -C * (n - 1 + a + b) * (n - 1 + a + c) if n else 0)
 
 
 def _typed_coeffs(f: Family, mode: Mode):
     """recurrence_coeffs of the family, each coefficient typed for the mode."""
     return lambda n: tuple(to_mode(c, mode) for c in recurrence_coeffs(f, n))
-
-
-def _assert_small(residual: Polynomial, mode: Mode, what: str, tol: float = 1e-9) -> None:
-    if mode is Mode.EXACT:
-        if not residual.is_zero():
-            raise InternalConsistencyError(f"{what}: nonzero exact residual {residual!r}")
-    else:
-        worst = max((abs(c) for c in residual.coeffs), default=0.0)
-        if worst > tol:
-            raise InternalConsistencyError(f"{what}: residual {worst:.3e} exceeds {tol}")
 
 
 def eval_family(f: Family, n: int, x):
@@ -461,9 +467,9 @@ def bochner_residual(f: Family, n: int, samples):
 def asc_relation(f: Family, n: int):
     """Structure relation G(x) phi_n' = A_n phi_{n+1} + B_n phi_n + C_n phi_{n-1}.
 
-    Returns (G, A_n, B_n, C_n).  Hermite, Laguerre, and monomials use their
-    explicit forms; Jacobi and Bessel coefficients are obtained by exact
-    linear solve and verified against the full identity.
+    Returns (G, A_n, B_n, C_n), in closed form for every family: G = 1 - x^2
+    for Jacobi (Szego (4.5.7)), x^2 for Bessel, x for Laguerre and
+    monomials, 1 for Hermite.  C_0 is 0 by convention.
     """
     k = f.kind
     if k not in _BOCHNER_KINDS or k is FamilyKind.CHEBYSHEV_T:
@@ -477,30 +483,26 @@ def asc_relation(f: Family, n: int):
         return Polynomial((0, one), mode), 0, n, -(n + alpha) if n else 0
     if k is FamilyKind.MONOMIAL:
         return Polynomial((0, one), mode), 0, n, 0
-    return _solved_asc(f, n, mode)
-
-
-@lru_cache(maxsize=_SOLVE_CACHE_SIZE)
-def _solved_asc(f: Family, n: int, mode: Mode):
-    one = to_mode(1, mode)
-    if f.kind is FamilyKind.JACOBI:
-        G = Polynomial((one, 0, -one), mode)
-    else:  # Bessel
+    if k is FamilyKind.BESSEL:
+        _check_bessel(f, n)
         G = Polynomial((0, 0, one), mode)
-    phi_n = family_polynomial(f, n, mode)
-    phi_up = family_polynomial(f, n + 1, mode)
-    lhs = G * phi_n.derivative()
-    a_c = lhs.coeff(n + 1) / phi_up.leading()
-    b_c = (lhs.coeff(n) - a_c * phi_up.coeff(n)) / phi_n.leading()
+    else:  # Jacobi
+        G = Polynomial((one, 0, -one), mode)
     if n == 0:
-        c_c = 0
-        residual = lhs - phi_up * a_c - phi_n * b_c
-    else:
-        phi_dn = family_polynomial(f, n - 1, mode)
-        c_c = (lhs.coeff(n - 1) - a_c * phi_up.coeff(n - 1) - b_c * phi_n.coeff(n - 1)) / phi_dn.leading()
-        residual = lhs - phi_up * a_c - phi_n * b_c - phi_dn * c_c
-    _assert_small(residual, mode, f"structure-relation solve for {f.kind.value} at n={n}")
-    return (G, a_c, b_c, c_c)
+        return G, to_mode(0, mode), to_mode(0, mode), 0
+    p = tuple(to_mode(v, mode) for v in f.params)
+    if k is FamilyKind.BESSEL:
+        a, b = p
+        u, v, w = recurrence_coeffs(f, n)
+        q = n * b / (2 * n + a - 2)
+        return G, n * u, n * v - q, n * w + q
+    alpha, beta = p
+    s = 2 * n + alpha + beta
+    t = n + alpha + beta + 1
+    A = -2 * n * (n + 1) * t / ((s + 1) * (s + 2))
+    B = 2 * n * (alpha - beta) * t / (s * (s + 2))
+    C = 2 * (n + alpha) * (n + beta) * t / (s * (s + 1))
+    return G, A, B, C
 
 
 def cdh_weight(b, N: int, gamma):
@@ -563,11 +565,8 @@ def dual_hahn_weight(x: int, gamma, delta, N: int):
 
 def dual_hahn_norm(n: int, gamma, delta, N: int):
     """Squared norm n! (N-n)! / ((gamma+1)_n (delta+1)_{N-n}) of R_n."""
-    return (
-        math.factorial(n)
-        * math.factorial(N - n)
-        / (pochhammer(gamma + 1, n) * pochhammer(delta + 1, N - n))
-    )
+    num = Fraction(math.factorial(n) * math.factorial(N - n))  # int / int would be a float
+    return num / (pochhammer(gamma + 1, n) * pochhammer(delta + 1, N - n))
 
 
 def weight_mass(f: Family) -> float:

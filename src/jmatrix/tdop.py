@@ -306,10 +306,6 @@ class MomentInnerProduct:
         self.mode = mode
         self.moments = tuple(coerce_scalar(m, mode) for m in moments)
 
-    @property
-    def max_degree(self) -> int:
-        return (len(self.moments) - 1) // 2
-
     def pair(self, p: Polynomial, q: Polynomial):
         if p.degree + q.degree >= len(self.moments):
             raise InnerProductError(

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import jmatrix
 from jmatrix.cli import main
 
 
@@ -129,6 +135,34 @@ class TestOtherCommands:
             ("2/3", "-1/3", 0), ("3/5", "-1/15", "1/3"), ("4/7", "-1/35", "2/5")
         ]
 
+    @pytest.mark.parametrize(
+        "decimal, rational, argv, table, fields",
+        [
+            ("cdh:2.75,0.25,1.75", "cdh:11/4,1/4,7/4", ["--n", "4", "--recurrence"], "recurrence", "uvw"),
+            ("jacobi:2.25,0.5", "jacobi:9/4,1/2", ["--n", "10", "--asc"], "structure_relation", "ABC"),
+        ],
+    )
+    def test_decimal_family_matches_its_rational_spelling(self, capsys, decimal, rational, argv, table, fields):
+        # both decimal spellings used to exit 2 (a float solve failed its residual gate)
+        tables = []
+        for spec in (decimal, rational):
+            status, report = run_json(capsys, ["--mode", "exact", "families", "--family", spec, *argv])
+            assert status == 0
+            tables.append(report["results"][table])
+        for got, want in zip(*tables):
+            for field in fields:
+                g, w = float(got[field]), float(Fraction(want[field]))
+                assert abs(g - w) <= 1e-13 * abs(w)
+
+    @pytest.mark.parametrize("spec, degree", [("bessel:0,2", 1), ("bessel:-1,2", 2), ("bessel:-4,2", 3)])
+    @pytest.mark.parametrize("key", ["--recurrence", "--asc"])
+    def test_degenerate_bessel_is_an_error(self, capsys, spec, degree, key):
+        assert main(["families", "--family", spec, key]) == 1
+        params = ", ".join(spec.partition(":")[2].split(","))
+        assert capsys.readouterr().err == (
+            f"error: bessel({params}) degenerates at degree {degree} (leading coefficient vanished)\n"
+        )
+
     def test_verify_single_suite(self, capsys):
         status = main(["verify", "--suite", "weight-ode"])
         captured = capsys.readouterr()
@@ -213,3 +247,18 @@ class TestDeterminism:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "No such file or directory" in err
         assert err.count("\n") == 1
+
+
+def test_closed_pipe_exits_1_quietly():
+    # about 268 KB of output, far more than a pipe buffers: the writer meets
+    # the closed pipe whatever the timing
+    env = dict(os.environ)
+    src = str(Path(jmatrix.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "jmatrix.cli", "families", "--family", "hermite", "--n", "3000", "--recurrence"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err

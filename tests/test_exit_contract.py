@@ -50,7 +50,7 @@ family = pick(
     ["jacobi:1/2,-1/4", "jacobi:0.5,-0.25", "jacobi:0,0", "laguerre:3/4", "laguerre:0.5", "hermite",
      "chebyshev", "monomial", "bessel:2,2", "dualhahn:1/2,0,5", "cdh:11/4,1/4,7/4", "cdh:2.75,0.25,1.75"],
     ["jacobi:nan,0", "jacobi:1e400,0", "jacobi:-1,0", "jacobi:1/0,0", "laguerre:inf", "bessel:2,0",
-     "dualhahn:1/2,0,0.5", "cdh:0,1,1", "hermite:1", "nosuch:1", ""],
+     "dualhahn:1/2,0,0.5", "cdh:0,1,1", "hermite:1", "nosuch:1", "", "bessel:0,2", "bessel:-4,2"],
 )
 tolerance = pick(["1e-9", "1e-6", "1e-300"], ["0", "-1", "inf", "nan", "abc"])
 

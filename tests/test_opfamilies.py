@@ -104,6 +104,67 @@ class TestRecurrences:
             family_polynomial(f, 2)
 
 
+def solved(lhs, f, n):
+    """(c_up, c_n, c_dn) with lhs = c_up phi_{n+1} + c_n phi_n + c_dn phi_{n-1}.
+
+    An exact linear solve against the generated polynomials, from the top
+    coefficient down; the remainder must vanish.  c_dn is the int 0 at n = 0.
+    """
+    phi_up, phi_n = family_polynomial(f, n + 1), family_polynomial(f, n)
+    up = lhs.coeff(n + 1) / phi_up.leading()
+    mid = (lhs.coeff(n) - up * phi_up.coeff(n)) / phi_n.leading()
+    rest = lhs - phi_up * up - phi_n * mid
+    dn = 0
+    if n:
+        phi_dn = family_polynomial(f, n - 1)
+        dn = rest.coeff(n - 1) / phi_dn.leading()
+        rest = rest - phi_dn * dn
+    assert rest.is_zero()
+    return up, mid, dn
+
+
+def same_values_and_types(got, want):
+    return tuple(got) == tuple(want) and [type(v) for v in got] == [type(v) for v in want]
+
+
+ORACLE_FAMILIES = [
+    Family.bessel(3, 2),
+    Family.bessel(2, 2),
+    Family.bessel(F(7, 3), -5),
+    Family.dual_hahn(1, 0, 6),
+    Family.dual_hahn(F(1, 2), 0, 5),
+    Family.continuous_dual_hahn(F(11, 4), F(1, 4), F(7, 4)),
+    Family.jacobi(0, 0),
+    Family.jacobi(2, 3),
+    Family.jacobi(F(-1, 2), F(-1, 2)),
+]
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=Family.spec_string)
+def test_closed_forms_equal_the_exact_solve(fam):
+    top = min(12, (fam.truncation() or 13) - 1)
+    for n in range(top + 1):
+        phi = family_polynomial(fam, n)
+        got = recurrence_coeffs(fam, n)
+        assert same_values_and_types(got, solved(Polynomial.x() * phi, fam, n)), (n, got)
+        if fam.kind in (FamilyKind.JACOBI, FamilyKind.BESSEL):
+            G, *got = asc_relation(fam, n)
+            assert G == Polynomial([1, 0, -1] if fam.kind is FamilyKind.JACOBI else [0, 0, 1])
+            assert same_values_and_types(got, solved(G * phi.derivative(), fam, n)), (n, got)
+
+
+@pytest.mark.parametrize("a, degree", [(0, 1), (-1, 2), (-4, 3), (F(-3), 3), (-4.0, 3)])
+def test_degenerate_bessel_raises(a, degree):
+    f = Family.bessel(a, 2)
+    lowest = degree - 1  # the first index whose relations involve y_degree
+    for n in range(lowest):
+        recurrence_coeffs(f, n)
+        asc_relation(f, n)
+    for call in (recurrence_coeffs, asc_relation):
+        with pytest.raises(ValidationError, match=f"degenerates at degree {degree} "):
+            call(f, lowest)
+
+
 class TestEvalFamily:
     def test_chebyshev_cosine(self):
         th = math.pi / 5
@@ -150,8 +211,7 @@ class TestCacheModes:
     def test_equal_parameters_keep_their_mode(self, order):
         # Family(k, (2.25,)) == Family(k, (F(9, 4),)), so only the mode in
         # the cache key keeps one spelling from reading the other's results.
-        for cached in (opfamilies._family_polynomial, opfamilies._solved_recurrence, opfamilies._solved_asc):
-            cached.cache_clear()
+        opfamilies._family_polynomial.cache_clear()
         for spelling in order:
             jac, cdh = (Family.parse(s) for s in self.SPELLINGS[spelling])
             want = F if spelling == "exact" else float
@@ -229,6 +289,13 @@ class TestDualHahn:
                 )
                 want = float(dual_hahn_norm(m1, gamma, delta, Nd)) if m1 == m2 else 0.0
                 assert abs(s - want) <= 1e-12
+
+    def test_norm_exact_for_integer_parameters(self):
+        got = dual_hahn_norm(1, 0, 0, 3)
+        assert got == 1 and type(got) is F
+        assert dual_hahn_norm(1, F(0), F(0), 3) == got
+        assert dual_hahn_norm(2, 1, 2, 4) == F(2 * 2, 2 * 3 * 3 * 4)
+        assert type(dual_hahn_norm(1, 0.5, 0, 3)) is float
 
     def test_r0_is_one(self):
         assert dual_hahn_value(0, 2, F(1, 2), 0, 3) == 1
