@@ -69,20 +69,24 @@ def _jsonable(value):
 
 
 def _emit(report: dict, args, csv_rows=None) -> None:
+    """Write the report as JSON or CSV, line by line: on an unbuffered stdout
+    one large write to a pipe whose reader has gone can end short without an
+    error, while the next line's write raises BrokenPipeError."""
+    if args.out == "json":  # serialized first: a value JSON cannot carry leaves no partial report
+        try:
+            lines = (json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n").splitlines(keepends=True)
+        except ValueError:
+            raise ValidationError("the report holds a number that is not finite, which JSON cannot carry") from None
+    elif csv_rows is None:
+        raise _UsageError("csv output is not defined for this command/flags")
+    else:
+        lines = (",".join(format_scalar(v) if not isinstance(v, str) else v for v in row) + "\n" for row in csv_rows)
     try:
         out = sys.stdout if args.output is None else open(args.output, "w")
     except OSError as exc:
         raise ValidationError(f"cannot write report to {args.output}: {exc.strerror}") from None
     try:
-        if args.out == "json":
-            json.dump(_jsonable(report), out, indent=2)
-            out.write("\n")
-        else:
-            if csv_rows is None:
-                raise _UsageError("csv output is not defined for this command/flags")
-            for row in csv_rows:
-                out.write(",".join(format_scalar(v) if not isinstance(v, str) else v for v in row))
-                out.write("\n")
+        out.writelines(lines)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -383,7 +387,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ModeError, JMatrixError, ValueError) as exc:
+    except (ModeError, JMatrixError, ValueError, ArithmeticError) as exc:
         if isinstance(exc, InternalConsistencyError):
             print(f"internal consistency failure: {exc}", file=sys.stderr)
             return 2

@@ -1,8 +1,8 @@
 """Shared exception types.
 
 Modules define their own specific subclasses where useful; the CLI maps
-ValidationError (and ValueError generally) to exit status 1 and
-InternalConsistencyError to exit status 2.
+ValidationError (and ValueError and ArithmeticError generally) to exit
+status 1 and InternalConsistencyError to exit status 2.
 """
 
 

@@ -458,44 +458,51 @@ def adaptive_integrate(f, lo: float, hi: float, rtol: float = 1e-10, atol: float
     """Integrate f on [lo, hi], doubling panel counts until two successive
     refinements differ by less than max(atol, rtol * |I|).
 
-    Raises ConvergenceError after ``_MAX_DOUBLINGS`` refinements.
+    Raises ConvergenceError after ``_MAX_DOUBLINGS`` refinements, with the
+    last ``panels`` count, its ``estimate`` and the ``difference``.
     """
     if atol is None:
         atol = rtol
     panels = 4
-    prev, _ = _composite_gauss(f, lo, hi, panels)
+    cur, _ = _composite_gauss(f, lo, hi, panels)
     for _ in range(_MAX_DOUBLINGS):
         panels *= 2
-        cur, cur_abs = _composite_gauss(f, lo, hi, panels)
+        prev, (cur, cur_abs) = cur, _composite_gauss(f, lo, hi, panels)
         if abs(cur - prev) <= max(atol, rtol * max(abs(cur), 1e-3 * cur_abs)):
             return cur
-        prev = cur
-    raise ConvergenceError(f"adaptive quadrature did not converge on [{lo}, {hi}]")
+    raise ConvergenceError(
+        f"adaptive quadrature did not converge on [{lo}, {hi}]", panels=panels, estimate=cur, difference=cur - prev
+    )
 
 
 def halfline_integrate(f, lo: float = 0.0, rtol: float = 1e-10, atol: float | None = None) -> float:
     """Integrate f on [lo, infinity) for integrands with super-polynomial decay.
 
-    The domain is truncated where the sampled envelope of |f| falls below
-    ``_ENVELOPE_DROP`` times its peak, then integrated adaptively; one
-    further doubling of the truncation point acts as a tail check.
+    The domain is truncated at T where the sampled envelope of |f| falls
+    below ``_ENVELOPE_DROP`` times its peak, then integrated adaptively.
+    The integral over [T, 2T - lo] is added; a ConvergenceError carrying
+    ``T``, ``tail`` and ``estimate`` says it exceeds max(atol, rtol * |I|),
+    one carrying ``T`` and ``peak`` that no truncation point was found.
     """
     if atol is None:
         atol = rtol
     T = lo + _FIRST_SPAN
     peak = 0.0
-    for _ in range(_MAX_EXTENSIONS):
+    for extension in range(_MAX_EXTENSIONS):
+        if extension:
+            T = lo + 2 * (T - lo)
         mags = np.abs(_sample(f, np.linspace(lo, T, 65)[1:]))
         peak = max(peak, float(np.max(mags)))
         tail = float(np.max(mags[-4:]))
         if peak > 0 and tail <= _ENVELOPE_DROP * peak:
             break
-        T = lo + 2 * (T - lo)
     else:
-        raise ConvergenceError("could not find a truncation point for the half-line integral")
+        raise ConvergenceError("could not find a truncation point for the half-line integral", T=T, peak=peak)
     value = adaptive_integrate(f, lo, T, rtol=rtol, atol=atol)
     tail_part = adaptive_integrate(f, T, lo + 2 * (T - lo), rtol=max(rtol, 1e-8), atol=max(atol, 1e-14))
     value += tail_part
+    if abs(tail_part) > max(atol, rtol * abs(value)):
+        raise ConvergenceError(f"half-line tail {tail_part:.3e} beyond T = {T}", T=T, tail=tail_part, estimate=value)
     return value
 
 

@@ -145,6 +145,20 @@ def to_mode(value, mode: Mode):
     return float(value)
 
 
+def _typed(values, mode: Mode | None, what: str) -> tuple[list, Mode]:
+    """``values`` coerced to ``mode``, or to the one mode they carry when it
+    is None (EXACT for ints only).  A ModeError names them as ``what``."""
+    modes = {scalar_mode(v) for v in values}
+    modes.discard(None)
+    if len(modes) > 1:
+        raise ModeError(f"mixed exact and float {what}")
+    if mode is None:
+        mode = modes.pop() if modes else Mode.EXACT
+    elif modes and modes != {mode}:
+        raise ModeError(f"{modes.pop().value} {what} with mode={mode.value}")
+    return [coerce_scalar(v, mode) for v in values], mode
+
+
 def _parse_scalar(token: str):
     """One text scalar: "p/q" is a Fraction, an integer literal an int,
     anything else a float.  A zero denominator or a float that is not
@@ -185,15 +199,7 @@ class Polynomial:
     __slots__ = ("coeffs", "mode")
 
     def __init__(self, coeffs: Sequence, mode: Mode | None = None):
-        modes = {scalar_mode(c) for c in coeffs}
-        modes.discard(None)
-        if len(modes) > 1:
-            raise ModeError("mixed exact and float coefficients")
-        if mode is None:
-            mode = modes.pop() if modes else Mode.EXACT
-        elif modes and modes != {mode}:
-            raise ModeError(f"{modes.pop().value} coefficients with mode={mode.value}")
-        self._fill([coerce_scalar(c, mode) for c in coeffs], mode)
+        self._fill(*_typed(coeffs, mode, "coefficients"))
 
     @classmethod
     def _of(cls, coeffs: Sequence, mode: Mode) -> "Polynomial":
@@ -241,7 +247,7 @@ class Polynomial:
         """Coefficient of x^k (zero beyond the stored degree)."""
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0) if self.mode is Mode.EXACT else 0.0
+        return to_mode(0, self.mode)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -257,7 +263,7 @@ class Polynomial:
     def __call__(self, x):
         """Horner evaluation; exact in EXACT mode."""
         x = coerce_scalar(x, self.mode)
-        acc = Fraction(0) if self.mode is Mode.EXACT else 0.0
+        acc = to_mode(0, self.mode)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -313,7 +319,7 @@ class Polynomial:
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return Polynomial.zero(self.mode), self
-        quot = [coerce_scalar(0, self.mode)] * (dq + 1)
+        quot = [to_mode(0, self.mode)] * (dq + 1)
         lead = other.leading()
         for k in range(dq, -1, -1):
             c = rem[k + len(other.coeffs) - 1] / lead
@@ -386,7 +392,10 @@ class DegreeLoweringOperator:
 
     The generator ``d`` must vanish for k < shift and be nonzero for
     k >= shift; the latter is checked lazily as coefficients are requested.
-    Coefficients are memoized (idempotent fills, safe for concurrent reads).
+    Each d(k) is typed once, when it is memoized: coerced to ``mode`` if the
+    operator has one, else required to be an int (mode-neutral operators,
+    such as d/dx and d^2/dx^2, act on either mode).  Fills are idempotent,
+    so the memo is safe for concurrent reads.
     """
 
     __slots__ = ("shift", "label", "mode", "_d", "_cache")
@@ -404,7 +413,8 @@ class DegreeLoweringOperator:
                 raise DegreeLoweringError(f"{label or 'operator'}: d({k}) must be 0 below shift {shift}")
 
     def coefficient(self, k: int):
-        """The monomial coefficient d(k), validated nonzero for k >= shift."""
+        """The monomial coefficient d(k), validated nonzero for k >= shift and
+        typed for the operator's mode (ModeError where it cannot be)."""
         if k < self.shift:
             return 0
         try:
@@ -413,6 +423,10 @@ class DegreeLoweringOperator:
             value = self._d(k)
             if value == 0:
                 raise DegreeLoweringError(f"{self.label or 'operator'}: d({k}) = 0 at k >= shift")
+            if self.mode is not None:
+                value = coerce_scalar(value, self.mode)
+            elif not isinstance(value, numbers.Integral):
+                raise ModeError(f"{self.label or 'operator'}: mode-neutral d({k}) = {value!r} is not an int")
             self._cache[k] = value
             return value
 
@@ -423,7 +437,7 @@ class DegreeLoweringOperator:
         mode = p.mode
         zero = to_mode(0, mode)
         out = [
-            c * coerce_scalar(self.coefficient(k), mode) if c != 0 else zero
+            c * self.coefficient(k) if c != 0 else zero
             for k, c in enumerate(p.coeffs[self.shift:], self.shift)
         ]
         return Polynomial._of(_from_zero(out, mode), mode)
@@ -450,10 +464,7 @@ def q_derivative_op(q) -> DegreeLoweringOperator:
     q must not be 0 or 1; roots of unity are caught lazily when the
     corresponding coefficient would vanish.
     """
-    qmode = scalar_mode(q)
-    if qmode is None:
-        q = Fraction(q)
-        qmode = Mode.EXACT
+    (q,), qmode = _typed((q,), None, "q")
     if q == 0 or q == 1:
         raise ValueError("q-derivative requires q not in {0, 1}")
     one = to_mode(1, qmode)

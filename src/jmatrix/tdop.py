@@ -20,15 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import JMatrixError, ValidationError
-from .polycore import (
-    DegreeLoweringOperator,
-    Mode,
-    ModeError,
-    Polynomial,
-    coerce_scalar,
-    format_scalar,
-    scalar_mode,
-)
+from .jacspec import QuadratureRule
+from .polycore import DegreeLoweringOperator, Mode, ModeError, Polynomial, _typed, format_scalar, to_mode
 
 __all__ = [
     "TDOperator",
@@ -97,6 +90,9 @@ class TDOperator:
     def __post_init__(self):
         if not (self.A.mode is self.B.mode is self.C.mode):
             raise ModeError("A, B, C must share one mode")
+        for op in (self.S, self.T):
+            if op.mode not in (None, self.A.mode):
+                raise ModeError(f"{op.mode.value} operator {op.label!r} with {self.A.mode.value} A, B, C")
         if self.A.degree > 3 or self.B.degree > 2 or self.C.degree > 1:
             raise ValidationError(
                 f"degree bounds violated: deg(A)={self.A.degree}, deg(B)={self.B.degree}, deg(C)={self.C.degree}"
@@ -129,8 +125,8 @@ class TDOperator:
         are the monomial coefficients of S and T (zero for j below their
         shift), so L x^j has these four bands and no others.
         """
-        dd = coerce_scalar(self.T.coefficient(j), self.mode)
-        d = coerce_scalar(self.S.coefficient(j), self.mode)
+        dd = self.T.coefficient(j)
+        d = self.S.coefficient(j)
         a, b, c = self.A.coeff, self.B.coeff, self.C.coeff
         return (
             a(0) * dd,
@@ -248,8 +244,8 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
     mode = op.mode
-    zero = coerce_scalar(0, mode)
-    one = coerce_scalar(1, mode)
+    zero = to_mode(0, mode)
+    one = to_mode(1, mode)
     ys = [Polynomial.one(mode)]
     bands = []  # bands[j]: the coefficients of x^(j-2) .. x^(j+1) in L x^j
     An, Bn, Cn = [], [], []
@@ -272,12 +268,10 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
             rhs = Ly[p] - b_k * y[p] - c_k * ys[k - 1].coeffs[p]
             if a_k != 0:
                 coeffs[p] = rhs / a_k
-            else:
-                bad = rhs != 0 if mode is Mode.EXACT else abs(rhs) > 1e-10 * _coeff_scale(Ly)
-                if bad:
-                    raise TridiagonalizationError(
-                        k, f"A_{k} = 0 but the x^{p} equation has nonzero right side {format_scalar(rhs)}"
-                    )
+            elif _nonzero(rhs, mode, Ly):
+                raise TridiagonalizationError(
+                    k, f"A_{k} = 0 but the x^{p} equation has nonzero right side {format_scalar(rhs)}"
+                )
         ys.append(Polynomial._of(coeffs, mode))
         An.append(a_k)
         Bn.append(b_k)
@@ -285,8 +279,12 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
     return Tridiagonalization(tuple(ys), tuple(An), tuple(Bn), tuple(Cn))
 
 
-def _coeff_scale(coeffs: Sequence) -> float:
-    return max((abs(float(c)) for c in coeffs), default=1.0) or 1.0
+def _nonzero(value, mode: Mode, coeffs: Sequence) -> bool:
+    """Whether ``value`` is nonzero: exactly in EXACT, and in FLOAT beyond
+    1e-10 times the largest magnitude in ``coeffs`` (1 if they all vanish)."""
+    if mode is Mode.EXACT:
+        return value != 0
+    return abs(value) > 1e-10 * (max((abs(float(c)) for c in coeffs), default=1.0) or 1.0)
 
 
 class MomentInnerProduct:
@@ -297,21 +295,15 @@ class MomentInnerProduct:
     """
 
     def __init__(self, moments: Sequence, mode: Mode | None = None):
-        if mode is None:
-            found = {scalar_mode(m) for m in moments}
-            found.discard(None)
-            if len(found) > 1:
-                raise ModeError("mixed exact and float moments")
-            mode = found.pop() if found else Mode.EXACT
-        self.mode = mode
-        self.moments = tuple(coerce_scalar(m, mode) for m in moments)
+        moments, self.mode = _typed(moments, mode, "moments")
+        self.moments = tuple(moments)
 
     def pair(self, p: Polynomial, q: Polynomial):
         if p.degree + q.degree >= len(self.moments):
             raise InnerProductError(
                 f"moment sequence of length {len(self.moments)} too short for degrees {p.degree}+{q.degree}"
             )
-        acc = coerce_scalar(0, self.mode)
+        acc = to_mode(0, self.mode)
         for i, a in enumerate(p.coeffs):
             for j, b in enumerate(q.coeffs):
                 acc += a * b * self.moments[i + j]
@@ -321,17 +313,11 @@ class MomentInnerProduct:
 def _pairing(ip, tri_mode: Mode):
     """Normalize an inner-product input to (pair_fn, mode)."""
     if isinstance(ip, MomentInnerProduct):
-        mode = ip.mode if tri_mode is ip.mode else Mode.FLOAT
-        if mode is Mode.FLOAT and ip.mode is Mode.EXACT:
-            float_ip = MomentInnerProduct([float(m) for m in ip.moments], Mode.FLOAT)
-            return float_ip.pair, Mode.FLOAT
-        return ip.pair, mode
-    if hasattr(ip, "nodes") and hasattr(ip, "weights"):
-        def pair(p: Polynomial, q: Polynomial) -> float:
-            vals = np.array([float(p(float(x))) * float(q(float(x))) for x in ip.nodes])
-            return float(np.dot(ip.weights, vals))
-
-        return pair, Mode.FLOAT
+        if ip.mode is Mode.EXACT and tri_mode is Mode.FLOAT:
+            return MomentInnerProduct([float(m) for m in ip.moments], Mode.FLOAT).pair, Mode.FLOAT
+        return ip.pair, ip.mode
+    if isinstance(ip, QuadratureRule):
+        return ip.inner, Mode.FLOAT
     raise InnerProductError("inner product must be a MomentInnerProduct or a quadrature rule")
 
 
@@ -345,20 +331,22 @@ def orthogonalize(tri: Tridiagonalization, ip) -> Tridiagonalization:
 
     Raises:
         InnerProductError: if the pairing shows the Gram matrix to be
-            numerically singular or not positive definite.
+            numerically singular or not positive definite, or if L r_n has
+            a component below r_(n-1) that the three bands would drop
+            (judged by ``_nonzero``, as in tridiagonalize).
     """
     pair, mode = _pairing(ip, tri.mode)
     if mode is Mode.FLOAT and tri.mode is Mode.EXACT:
         tri = tri.to_float()
     N = len(tri.y) - 1
-    zero = coerce_scalar(0, mode)
+    zero = to_mode(0, mode)
 
     r: list[Polynomial] = []
     cmat: list[list] = []  # cmat[i][j]: coefficient of y_j in r_i
     norms2: list = []
     for n, yn in enumerate(tri.y):
         row = [zero] * (n + 1)
-        row[n] = coerce_scalar(1, mode)
+        row[n] = to_mode(1, mode)
         rn = yn
         raw = pair(yn, yn)
         for k in range(n):
@@ -393,6 +381,11 @@ def orthogonalize(tri: Tridiagonalization, ip) -> Tridiagonalization:
             for i in range(j + 1, n + 2):
                 acc -= d[i] * cmat[i][j]
             d[j] = acc
+        j = max(range(n - 1), key=lambda i: abs(d[i]), default=None)
+        if j is not None and _nonzero(d[j], mode, d):
+            raise InnerProductError(
+                f"L r_{n} has a component {format_scalar(d[j])} along r_{j}, below the three bands at n = {n}"
+            )
         new_A.append(d[n + 1])
         new_B.append(d[n])
         new_C.append(d[n - 1] if n >= 1 else zero)
@@ -468,7 +461,7 @@ def reconstruct_diagonalizer(op: TDOperator, n_max: int) -> ReconstructedOperato
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
     mode = op.mode
-    zero = coerce_scalar(0, mode)
+    zero = to_mode(0, mode)
     images = [Polynomial._of((), mode)]
     prev = [zero]  # coefficients of D x^(n-1), x^0 .. x^(n-1)
     for n in range(1, n_max + 1):
@@ -498,45 +491,32 @@ class WeightSpec:
 def _rational_roots(p: Polynomial) -> list[Fraction]:
     """All roots of an exact polynomial, required to be rational and simple.
 
+    A root 0 comes first.  Every other root a/b in lowest terms has a
+    dividing the constant and b the leading coefficient of p with its
+    denominators cleared, so the candidates +-a/b are tried in increasing
+    (a, b), and each root found is divided out before the next search.
+
     Raises MultiplePoleError on repeated roots and ValidationError when the
     polynomial does not split over the rationals.
     """
-    coeffs = [Fraction(c) for c in p.coeffs]
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    roots: list[Fraction] = []
-    low = 0
-    while low < len(ints) - 1 and ints[low] == 0:
-        low += 1
-    if low >= 2:
-        raise MultiplePoleError("repeated root at 0")
-    if low == 1:
-        roots.append(Fraction(0))
-        ints = ints[1:]
 
     def divisors(v: int) -> list[int]:
         v = abs(v)
         out = [d for d in range(1, int(math.isqrt(v)) + 1) if v % d == 0]
         return sorted(set(out + [v // d for d in out]))
 
-    while len(ints) > 1:
-        c0, cd = ints[0], ints[-1]
-        found = None
-        for pn in divisors(c0):
-            for qd in divisors(cd):
-                for cand in (Fraction(pn, qd), Fraction(-pn, qd)):
-                    acc = Fraction(0)
-                    for c in reversed(ints):
-                        acc = acc * cand + c
-                    if acc == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+    roots: list[Fraction] = []
+    while p.degree >= 1:
+        c = p.coeffs
+        if c[0] == 0:
+            if c[1] == 0:
+                raise MultiplePoleError("repeated root at 0")
+            found = Fraction(0)
+        else:
+            lcm = math.lcm(*(v.denominator for v in c))
+            tops, bottoms = divisors(int(c[0] * lcm)), divisors(int(c[-1] * lcm))
+            candidates = (Fraction(sign * a, b) for a in tops for b in bottoms for sign in (1, -1))
+            found = next((x for x in candidates if p(x) == 0), None)
         if found is None:
             raise ValidationError(
                 "leading polynomial has irrational roots; use FLOAT mode for the weight"
@@ -544,18 +524,7 @@ def _rational_roots(p: Polynomial) -> list[Fraction]:
         if found in roots:
             raise MultiplePoleError(f"repeated root {found}")
         roots.append(found)
-        # synthetic deflation by (x - found)
-        out = [Fraction(0)] * (len(ints) - 1)
-        carry = Fraction(ints[-1])
-        for i in range(len(ints) - 2, -1, -1):
-            out[i] = carry
-            carry = Fraction(ints[i]) + carry * found
-        ints = [c for c in out]
-        # re-clear denominators for the divisor search
-        lcm = 1
-        for c in ints:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in ints]
+        p, _ = divmod(p, Polynomial((-found, 1)))
     return roots
 
 
@@ -595,10 +564,7 @@ def weight_log_derivative(op: TDOperator, interval: tuple[float, float] | None =
     else:
         poly_part, rem = Polynomial.zero(op.mode), numer
     mode = op.mode
-    if mode is Mode.EXACT:
-        roots: list = _rational_roots(op.A)
-    else:
-        roots = _float_roots(op.A)
+    roots = _rational_roots(op.A) if mode is Mode.EXACT else _float_roots(op.A)
     a_prime = op.A.derivative()
     poles = tuple((rho, rem(rho) / a_prime(rho)) for rho in roots)
     if interval is None:

@@ -240,6 +240,13 @@ class TestDeterminism:
         assert status == 0
         assert json.loads(path.read_text())["command"] == "morse"
 
+    def test_non_finite_report_leaves_no_output_file(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        argv = ["--output", str(path), "families", "--family", "jacobi:1e308,1e308", "--n", "3", "--recurrence"]
+        assert main(argv) == 1
+        assert not path.exists()
+        assert capsys.readouterr().err.startswith("error: the report holds a number that is not finite")
+
     def test_output_into_missing_directory(self, tmp_path, capsys):
         path = tmp_path / "missing" / "report.json"
         status = main(["--output", str(path), "morse", "--b", "2.25", "--levels"])

@@ -1,7 +1,8 @@
 """The CLI's exit-code contract under generated argv.
 
 Every argv ends with exit 0, 1 or 2 and never with a traceback; a failing
-command other than ``verify`` prints exactly one line on stderr.  The argv
+command other than ``verify`` prints exactly one line on stderr, and a
+JSON report on exit 0 is strict JSON (no NaN or Infinity).  The argv
 are drawn from each subcommand's flags with valid, malformed, non-finite
 and out-of-range values.  Sizes stay at most 12 and the Parseval integrals
 are left out, so the test stays quick.
@@ -9,6 +10,7 @@ are left out, so the test stays quick.
 
 import contextlib
 import io
+import json
 
 import pytest
 
@@ -50,7 +52,9 @@ family = pick(
     ["jacobi:1/2,-1/4", "jacobi:0.5,-0.25", "jacobi:0,0", "laguerre:3/4", "laguerre:0.5", "hermite",
      "chebyshev", "monomial", "bessel:2,2", "dualhahn:1/2,0,5", "cdh:11/4,1/4,7/4", "cdh:2.75,0.25,1.75"],
     ["jacobi:nan,0", "jacobi:1e400,0", "jacobi:-1,0", "jacobi:1/0,0", "laguerre:inf", "bessel:2,0",
-     "dualhahn:1/2,0,0.5", "cdh:0,1,1", "hermite:1", "nosuch:1", "", "bessel:0,2", "bessel:-4,2"],
+     "dualhahn:1/2,0,0.5", "cdh:0,1,1", "hermite:1", "nosuch:1", "", "bessel:0,2", "bessel:-4,2",
+     # finite parameters whose results overflow, divide by zero or are not finite
+     "laguerre:171", "jacobi:1100,0", "bessel:1/2,1e-320", "jacobi:1e308,1e308", "cdh:1e200,1e200,1e200"],
 )
 tolerance = pick(["1e-9", "1e-6", "1e-300"], ["0", "-1", "inf", "nan", "abc"])
 
@@ -112,6 +116,12 @@ def test_every_argv_exits_0_1_or_2(argv):
     assert status in (0, 1, 2), argv
     if status != 0 and "verify" not in argv:
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    if status == 0 and "csv" not in argv:
+        json.loads(out.getvalue(), parse_constant=reject_constant)
+
+
+def reject_constant(name):
+    raise AssertionError(f"{name} in a JSON report")
 
 
 @pytest.mark.parametrize(
@@ -122,9 +132,17 @@ def test_every_argv_exits_0_1_or_2(argv):
         ["--quad-rtol", "inf", "morse", "--b", "9/4", "--parseval", "2", "3"],
         ["--residual-tol", "nan", "morse", "--b", "9/4", "--residual", "1"],
         ["--mode", "float", "tridiag", "--A", "0,0,0,1", "--B", "0,0,1", "--C", "0,1", "--n", "3", "--q", "1e200"],
+        # OverflowError in weight_mass, ZeroDivisionError in _poly_bessel
+        ["quad", "--family", "laguerre:171", "--n", "4"],
+        ["quad", "--family", "jacobi:1100,0", "--n", "4"],
+        ["families", "--family", "bessel:1/2,1e-320", "--n", "3", "--bochner"],
+        # reports holding NaN or Infinity, which JSON cannot carry
+        ["families", "--family", "jacobi:1e308,1e308", "--n", "3", "--recurrence"],
+        ["families", "--family", "cdh:1e200,1e200,1e200", "--n", "3", "--recurrence"],
     ],
 )
 def test_found_cases_exit_1_with_one_line(capsys, argv):
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err and err.count("\n") == 1 and "Traceback" not in err

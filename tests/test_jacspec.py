@@ -282,6 +282,31 @@ class TestIntegrate:
         val = rule.integrate(lambda x: (2 * x**2 - 1) * (4 * x**3 - 3 * x))
         assert abs(val) <= 1e-12
 
+    def test_adaptive_failure_carries_its_state(self):
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            adaptive_integrate(lambda x: np.sign(np.sin(1e4 * x)), 0.0, 1.0, rtol=1e-14, atol=1e-14)
+        err = info.value
+        assert err.panels == 4 * 2**14
+        assert math.isfinite(err.estimate) and err.difference != 0
+
+    def test_halfline_tail_beyond_tolerance_raises(self):
+        # the bump at 12 lies past the truncation point T = 8 and is never
+        # sampled there; only the tail integral over [8, 16] sees it
+        def f(x):
+            return np.exp(-x * x) + np.exp(-4 * (x - 12) ** 2)
+
+        with pytest.raises(ConvergenceError, match="tail") as info:
+            halfline_integrate(f)
+        err = info.value
+        assert err.T == 8.0
+        assert abs(err.tail - math.sqrt(math.pi) / 2) <= 1e-9
+        assert abs(err.estimate - math.sqrt(math.pi)) <= 1e-9
+
+    def test_halfline_without_truncation_point_raises(self):
+        with pytest.raises(ConvergenceError, match="truncation point") as info:
+            halfline_integrate(lambda x: np.ones_like(x))
+        assert info.value.T == 4.0 * 2**11 and info.value.peak == 1.0
+
     def test_adaptive_matches_closed_form(self):
         got = adaptive_integrate(lambda x: np.exp(-x) * np.sin(x), 0.0, 20.0, rtol=1e-12)
         want = 0.5 * (1 - math.exp(-20.0) * (math.sin(20.0) + math.cos(20.0)))

@@ -198,6 +198,26 @@ class TestLoweringOperators:
         with pytest.raises(ModeError):
             D(Polynomial([0, 0, F(1)]))
 
+    @pytest.mark.parametrize("d", [lambda k: F(k, 2), lambda k: k / 2])
+    def test_mode_neutral_coefficients_must_be_ints(self, d):
+        from jmatrix.polycore import DegreeLoweringOperator
+
+        D = DegreeLoweringOperator(1, d, label="half")
+        with pytest.raises(ModeError, match=r"half: mode-neutral d\(1\)"):
+            D.coefficient(1)
+        with pytest.raises(ModeError):
+            D(Polynomial([0, 1]))
+
+    def test_coefficients_typed_once_for_the_mode(self):
+        from jmatrix.polycore import DegreeLoweringOperator
+
+        D = DegreeLoweringOperator(1, lambda k: k, mode=Mode.FLOAT)
+        assert type(D.coefficient(3)) is float and D.coefficient(3) == 3.0
+        assert type(q_derivative_op(2).coefficient(3)) is Fraction
+        assert type(derivative_op().coefficient(3)) is int
+        with pytest.raises(ModeError):
+            DegreeLoweringOperator(1, lambda k: F(k), mode=Mode.FLOAT).coefficient(1)
+
     def test_float_coefficient_overflow_rejected(self):
         D = q_derivative_op(1e200)  # q**2 is beyond the float range
         assert D.coefficient(1) == 1.0

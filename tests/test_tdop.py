@@ -9,8 +9,10 @@ from jmatrix import lame, morse
 from jmatrix.errors import ValidationError
 from jmatrix.polycore import (
     Mode,
+    ModeError,
     Polynomial,
     coerce_scalar,
+    compose,
     derivative_op,
     q_derivative_op,
     second_derivative_op,
@@ -70,6 +72,15 @@ class TestValidation:
     def test_shift_requirements(self):
         with pytest.raises(ValidationError):
             validate_td(P(0, 0, 0, 1), P(), P(), T(), T())
+
+    @pytest.mark.parametrize("q, mode", [(0.5, Mode.EXACT), (F(1, 2), Mode.FLOAT)])
+    def test_lowering_mode_conflict_fails_when_built(self, q, mode):
+        Sq = q_derivative_op(q)
+        A, B, C = (Polynomial(c, mode) for c in ((0, 0, 0, 1), (0, 0, 1), (0, 1)))
+        with pytest.raises(ModeError, match="operator 'D_q"):
+            validate_td(A, B, C, Sq, compose(Sq, Sq))
+        with pytest.raises(ModeError):
+            TDOperator(A, B, C, S(), compose(Sq, Sq))
 
 
 class TestApply:
@@ -302,6 +313,14 @@ class TestOrthogonalize:
         tri = tridiagonalize(multiplication_operator(), 3)
         with pytest.raises(InnerProductError):
             orthogonalize(tri, bad)
+
+    @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+    def test_discarded_component_raises(self, mode):
+        # not symmetric in the Chebyshev pairing: L r_3 has an r_0 part that
+        # three bands would drop, and verify would then fail at index 3
+        op = cubic_op() if mode is Mode.EXACT else cubic_op().to_float()
+        with pytest.raises(InnerProductError, match="n = 3"):
+            orthogonalize(tridiagonalize(op, 6), MomentInnerProduct(CHEB_MOMENTS))
 
     def test_short_moment_sequence_rejected(self):
         tri = tridiagonalize(multiplication_operator(), 8)
