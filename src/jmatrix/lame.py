@@ -200,20 +200,6 @@ class LameEvenSpectrum:
 _MAX_EVEN_K = 1000
 
 
-def _even_matrix(model: LameModel, k: int) -> np.ndarray:
-    mat = np.zeros((k + 1, k + 1))
-    for n in range(k + 1):
-        _, diag, _ = cheb_tridiag_coeffs(model, n, Mode.FLOAT)
-        mat[n, n] = float(diag)
-        if n + 1 <= k:
-            lower_next = cheb_tridiag_coeffs(model, n + 1, Mode.FLOAT)[2]
-            mat[n, n + 1] = float(lower_next)
-        if n >= 1:
-            upper_prev = cheb_tridiag_coeffs(model, n - 1, Mode.FLOAT)[0]
-            mat[n, n - 1] = float(upper_prev)
-    return mat
-
-
 def even_spectrum(model: LameModel) -> LameEvenSpectrum:
     """Spectrum of the operator restricted to span{T_0, ..., T_k}, m = 2k.
 
@@ -234,47 +220,46 @@ def even_spectrum(model: LameModel) -> LameEvenSpectrum:
     k = int(m_ex) // 2
     if k > _MAX_EVEN_K:
         raise ValidationError(f"m = {float(m_ex):g} asks for a block beyond {_MAX_EVEN_K + 1} rows")
-    mat = _even_matrix(model, k)
+    # Row n of the matrix gives E P_n = lower_{n+1} P_{n+1} + diag_n P_n + upper_{n-1} P_{n-1}.
+    upper, diag, lower = zip(*(cheb_tridiag_coeffs(model, n, Mode.FLOAT) for n in range(k + 2)))
+    mat = np.zeros((k + 1, k + 1))
+    idx = np.arange(k + 1)
+    mat[idx, idx] = diag[: k + 1]
+    mat[idx[:-1], idx[1:]] = lower[1 : k + 1]
+    mat[idx[1:], idx[:-1]] = upper[:k]
 
-    # Every paired product mat[i, i+1] * mat[i+1, i] is positive, whatever
-    # alpha (which enters the diagonal only): at i = 0 it is
+    # Every paired product lower_{i+1} * upper_i is positive, whatever alpha
+    # (which enters the diagonal only): at i = 0 it is
     # (2+m)(m-1)m(m+1)/32 > 0 for m = 2k >= 2, and for 1 <= i < k both
     # factors, (2i+2+m)(2i+1-m)/8 and (2i-m)(2i+m+1)/8, are negative.  So the
     # matrix is diagonally similar to a symmetric one and the QL solver applies.
-    off = [math.sqrt(mat[i, i + 1] * mat[i + 1, i]) for i in range(k)]
-    w, U = jacspec.symmetric_tridiagonal_eig(np.diag(mat).copy(), off)
-    eigs = np.asarray(w)
+    off = [math.sqrt(lower[i + 1] * upper[i]) for i in range(k)]
+    solved = jacspec.eig_block(JacobiOperator.from_sequences(off, diag[: k + 1]), (0, k + 1))
+    eigs = solved.eigenvalues
     # undo the diagonal similarity: columns of diag(d) @ U solve the original matrix
     d = np.ones(k + 1)
     for i in range(k):
-        d[i + 1] = d[i] * off[i] / mat[i, i + 1]
-    vecs = d[:, None] * U
+        d[i + 1] = d[i] * off[i] / lower[i + 1]
+    vecs = d[:, None] * solved.eigenvectors
 
     # independent route: zeros of the generated P_{k+1}
-    p_prev = Polynomial.zero(Mode.FLOAT)
-    p_cur = Polynomial.one(Mode.FLOAT)
-    E = Polynomial.x(Mode.FLOAT)
-    for n in range(k + 1):
-        upper_next = float(cheb_tridiag_coeffs(model, n + 1, Mode.FLOAT)[2])  # couples P_n to P_{n+1}
-        shifted = (E - Polynomial((mat[n, n],), Mode.FLOAT)) * p_cur
-        if n >= 1:
-            shifted = shifted - p_prev * mat[n, n - 1]
-        p_prev, p_cur = p_cur, shifted * (1.0 / upper_next)
-    roots = np.sort(np.roots(list(reversed(p_cur.coeffs))).real)
+    p_next = opfamilies._poly_by_recurrence(
+        k + 1, Mode.FLOAT, lambda n: (lower[n + 1], diag[n], upper[n - 1] if n else 0.0)
+    )
+    roots = np.sort(np.roots(list(reversed(p_next.coeffs))).real)
 
     scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 1.0)
     if eigs.size != k + 1 or roots.size != k + 1:
         raise InternalConsistencyError("eigenvalue count mismatch")
     if np.max(np.abs(eigs - roots)) > 1e-9 * scale:
         raise InternalConsistencyError("dense eigensolve and recurrence roots disagree")
-    if k >= 1 and np.min(np.diff(eigs)) <= 1e-12 * scale:
-        raise InternalConsistencyError("even-case spectrum is not simple")
 
     pcoeffs = []
     for i in range(k + 1):
         v = vecs[:, i]
         if v[0] == 0.0:
             raise InternalConsistencyError("eigenvector with vanishing first component")
+        # eig_block's sign canonicalization cancels in this ratio
         pcoeffs.append([float(c) for c in v / v[0]])
     return LameEvenSpectrum(k=k, matrix=mat, eigenvalues=eigs, root_eigenvalues=roots, pcoeffs=pcoeffs)
 
@@ -393,11 +378,6 @@ def selfadjoint_diagnostic(model: LameModel, n_max: int = 500) -> LameDiagnostic
     a_n + a_{n-1} +/- b_n stays bounded (or grows slowest) and the leading
     coefficients (1 -+ alpha) predicted by the n -> infinity expansion.
     """
-    _orthonormal_k(model.m)
-    J = JacobiOperator(
-        a=lambda n: _orthonormal_a(model, n),
-        b=lambda n: _orthonormal_b(model, n),
-        length=None,
-    )
-    report = jacspec.berezanskii_test(J, n_max)
+    form = orthonormal_form(model, n_max + 1)
+    report = jacspec.berezanskii_test(JacobiOperator.from_sequences(form.a, form.diag), n_max)
     return LameDiagnostic(report=report, predicted_leading=(1.0 - model.alpha, 1.0 + model.alpha))

@@ -242,7 +242,10 @@ def _generate(f: Family, n: int, mode: Mode) -> Polynomial:
     if k is FamilyKind.LAGUERRE:
         return _poly_laguerre(*params, n, mode)
     if k is FamilyKind.BESSEL:
-        return _poly_bessel(*params, n, mode)
+        try:
+            return _poly_bessel(*params, n, mode)
+        except ArithmeticError:  # b**j under- or overflows a float
+            raise ValidationError(f"Bessel coefficients of {f.spec_string()} leave the float range") from None
     if k is FamilyKind.DUAL_HAHN:
         return _poly_dual_hahn(params[0], params[1], int(f.params[2]), n, mode)
     if k is FamilyKind.CONTINUOUS_DUAL_HAHN:
@@ -576,17 +579,26 @@ def weight_mass(f: Family) -> float:
         return math.pi
     if k is FamilyKind.HERMITE:
         return math.sqrt(math.pi)
-    if k is FamilyKind.LAGUERRE:
-        return math.exp(gammaln_real(float(f.params[0]) + 1.0))
-    if k is FamilyKind.JACOBI:
-        alpha, beta = (float(v) for v in f.params)
-        return math.exp(
-            (alpha + beta + 1) * math.log(2.0)
-            + gammaln_real(alpha + 1)
-            + gammaln_real(beta + 1)
-            - gammaln_real(alpha + beta + 2)
-        )
-    raise ValidationError(f"{k.value} has no positive orthogonality weight here")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k is FamilyKind.LAGUERRE:
+            log_mass = gammaln_real(float(f.params[0]) + 1.0)
+        elif k is FamilyKind.JACOBI:
+            alpha, beta = (float(v) for v in f.params)
+            log_mass = (
+                (alpha + beta + 1) * math.log(2.0)
+                + gammaln_real(alpha + 1)
+                + gammaln_real(beta + 1)
+                - gammaln_real(alpha + beta + 2)
+            )
+        else:
+            raise ValidationError(f"{k.value} has no positive orthogonality weight here")
+    try:
+        mass = math.exp(log_mass)
+    except OverflowError:
+        mass = math.inf
+    if not math.isfinite(mass):
+        raise ValidationError(f"weight mass of {f.spec_string()} overflows a float")
+    return mass
 
 
 def family_jacobi_operator(f: Family):

@@ -533,7 +533,7 @@ def _float_roots(p: Polynomial) -> list[float]:
     if np.any(np.abs(rts.imag) > 1e-9 * (1 + np.abs(rts.real))):
         raise ValidationError("complex roots of the leading polynomial are unsupported here")
     roots = sorted(float(r) for r in rts.real)
-    scale = max(1.0, max(abs(r) for r in roots))
+    scale = max(1.0, max((abs(r) for r in roots), default=0.0))
     for i in range(len(roots) - 1):
         if abs(roots[i + 1] - roots[i]) <= 1e-9 * scale:
             raise MultiplePoleError(f"repeated root near {roots[i]}")

@@ -163,6 +163,24 @@ class TestOtherCommands:
             f"error: bessel({params}) degenerates at degree {degree} (leading coefficient vanished)\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, quantity",
+        [
+            (["quad", "--family", "laguerre:171", "--n", "4"], "weight mass of laguerre:171"),
+            (["quad", "--family", "jacobi:1100,0", "--n", "4"], "weight mass of jacobi:1100,0"),
+            (["quad", "--family", "laguerre:1e308", "--n", "4"], "weight mass of laguerre:1e+308"),
+            (["families", "--family", "bessel:1/2,1e-320", "--n", "3", "--bochner"],
+             "Bessel coefficients of bessel:1/2,1e-320"),
+            (["families", "--family", "bessel:1/2,1e200", "--n", "3", "--bochner"],
+             "Bessel coefficients of bessel:1/2,1e+200"),
+        ],
+    )
+    def test_float_range_error_names_family_and_quantity(self, capsys, argv, quantity):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {quantity} ")
+
     def test_verify_single_suite(self, capsys):
         status = main(["verify", "--suite", "weight-ode"])
         captured = capsys.readouterr()

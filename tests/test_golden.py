@@ -23,6 +23,11 @@ CASES = {
     "lame_spectrum": ["lame", "--e", "3,-1,-2", "--m", "2", "--spectrum"],
     "lame_residuals": ["lame", "--e", "3,-1,-2", "--m", "2", "--residuals", "10"],
     "lame_diagnostic": ["lame", "--e", "3,-1,-2", "--m", "3/2", "--diagnostic", "500"],
+    "lame_spectrum_k4": ["lame", "--e", "5,-2,-3", "--m", "8", "--spectrum"],
+    "lame_orthonormal": ["lame", "--e", "3,-1,-2", "--m", "7/2", "--orthonormal", "12"],
+    "lame_diagnostic_small_alpha": [
+        "lame", "--e", "9/20,-11/20,1/10", "--m", "3/2", "--diagnostic", "200"
+    ],
     "tridiag": ["tridiag", "--A", "0,0,0,1", "--B", "0,0,1", "--C", "0,1", "--n", "10"],
     "quad_csv": ["--out", "csv", "quad", "--family", "jacobi:0,0", "--n", "20"],
     "verify_two": ["verify", "--suite", "quadrature", "morse-expansion"],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from jmatrix.errors import ValidationError
+from jmatrix.jacspec import JacobiOperator, berezanskii_test
 from jmatrix.lame import (
     algebraic_operator,
     build_lame_model,
@@ -168,6 +170,16 @@ class TestEvenSpectrum:
                 for i in range(k + 1):
                     assert even_eigenfunction_residual(spec, model, i) <= 1e-9
 
+    @pytest.mark.parametrize("es", [(3, -1, -2), (5, -2, -3), (1, -1, 0)])
+    @pytest.mark.parametrize("k", range(7))
+    def test_eigenvalues_match_dense_nonsymmetric_solve(self, es, k):
+        # LAPACK on the unsymmetrized matrix: an oracle that shares no code
+        # with the QL solver or the similarity that symmetrizes the matrix
+        spec = even_spectrum(build_lame_model(*es, 2 * k))
+        want = np.sort(np.linalg.eigvals(spec.matrix).real)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-12 * scale
+
     def test_odd_or_noninteger_rejected(self):
         with pytest.raises(ValidationError):
             even_spectrum(build_lame_model(3, -1, -2, 3))
@@ -227,3 +239,21 @@ class TestDiagnostic:
         d = selfadjoint_diagnostic(model, 500)
         assert abs(d.report.leading[0] - 2.5) <= 1e-3 * 2.5
         assert abs(d.report.leading[1] + 0.5) <= 1e-3 * 0.5
+
+    @pytest.mark.parametrize(
+        "es, mval",
+        [((3, -1, -2), F(3, 2)), ((0, -1, 1), F(3, 2)), ((F(9, 20), F(-11, 20), F(1, 10)), F(7, 2)),
+         ((5, -2, -3), F(13, 4))],
+    )
+    def test_matches_the_closed_form_operator(self, es, mval):
+        # the symmetric form's bands in closed form, evaluated lazily per index
+        model = build_lame_model(*es, mval)
+        h, boa = 0.5 * model.m, model.b_affine / model.a_affine
+        J = JacobiOperator(
+            a=lambda n: 0.5 * math.sqrt((n + h + 1) * (n - h + 0.5) * (n - h) * (n + h + 0.5)),
+            b=lambda n: -model.alpha * n * n - 0.25 * model.m * (model.m + 1) * boa,
+        )
+        got = selfadjoint_diagnostic(model, 300).report
+        want = berezanskii_test(J, 300)
+        for field in dataclasses.fields(want):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name

@@ -16,6 +16,7 @@ from jmatrix.polycore import (
     derivative_op,
     q_derivative_op,
     second_derivative_op,
+    to_mode,
 )
 from jmatrix.tdop import (
     InnerProductError,
@@ -479,6 +480,16 @@ class TestWeightODE:
                     factor = factor * P(-rho2, 1)
             recon = recon + factor * res
         assert (recon + ws.poly_part * op.A - numer).is_zero()
+
+    @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+    def test_constant_leading_coefficient_has_no_poles(self, mode):
+        # A = 2, B = 3x^2 + x: (B - A')/A = (3x^2 + x)/2 is all polynomial part
+        op = validate_td(Polynomial((2,), mode), Polynomial((0, 1, 3), mode),
+                         Polynomial((1,), mode), S(), T())
+        ws = weight_log_derivative(op)
+        assert ws.poles == ()
+        assert ws.poly_part == Polynomial((0, 1, 3), mode) * to_mode(Fraction(1, 2), mode)
+        assert ws.interval == (-math.inf, math.inf)
 
     def test_requires_true_derivatives(self):
         op = validate_td(P(1, 0, -1), P(0, -1), P(), q_derivative_op(F(1, 2)),
