@@ -107,6 +107,13 @@ def _base_report(args, command: str, inputs: dict) -> dict:
     }
 
 
+def _count(text: str) -> int:
+    """The argparse type of every count flag: a nonnegative int."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_scalar_arg(text: str, mode: str, flag: str):
     """A scalar flag value: a Fraction in exact mode (decimals read as
     rationals), else a float; finite as a float either way."""
@@ -174,8 +181,6 @@ def _cmd_morse(args) -> int:
             "delta_error": abs(value - (1.0 if n1 == n2 else 0.0)),
         }
     if args.residual is not None:
-        if args.residual < 0:
-            raise _UsageError("--residual must be nonnegative")
         grid = morse.DEFAULT_SAMPLE_GRID
         if args.grid is not None:
             grid = tuple(float(_parse_scalar_arg(tok, args.mode, "--grid")) for tok in args.grid.split(","))
@@ -321,17 +326,17 @@ def build_parser() -> _Parser:
     p.add_argument("--B", required=True)
     p.add_argument("--C", required=True)
     p.add_argument("--q", default=None, help="use q-difference lowering operators with this q")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--relaxed", action="store_true", help="admit deg(A) < 3 and deg(B) < 2")
     p.set_defaults(func=_cmd_tridiag)
 
     p = sub.add_parser("morse", help="exponential-well pipeline")
     p.add_argument("--b", required=True)
     p.add_argument("--levels", action="store_true", help="bound-state eigenvalues")
-    p.add_argument("--tridiag", type=int, default=None, metavar="N", help="band coefficients to index N")
-    p.add_argument("--identity", type=int, default=None, metavar="M", help="expansion identity at level M")
-    p.add_argument("--parseval", type=int, nargs=2, default=None, metavar=("N", "M"))
-    p.add_argument("--residual", type=int, default=None, metavar="N", help="max action residual for n <= N")
+    p.add_argument("--tridiag", type=_count, default=None, metavar="N", help="band coefficients to index N")
+    p.add_argument("--identity", type=_count, default=None, metavar="M", help="expansion identity at level M")
+    p.add_argument("--parseval", type=_count, nargs=2, default=None, metavar=("N", "M"))
+    p.add_argument("--residual", type=_count, default=None, metavar="N", help="max action residual for n <= N")
     p.add_argument("--grid", default=None, help="comma-separated sample points for --residual")
     p.set_defaults(func=_cmd_morse)
 
@@ -339,14 +344,14 @@ def build_parser() -> _Parser:
     p.add_argument("--e", required=True, help="three branch values, e.g. '3,-1,-2'")
     p.add_argument("--m", required=True)
     p.add_argument("--spectrum", action="store_true", help="even-case finite spectrum")
-    p.add_argument("--residuals", type=int, default=None, metavar="N", help="band residual polynomials, n <= N")
-    p.add_argument("--orthonormal", type=int, default=None, metavar="N")
-    p.add_argument("--diagnostic", type=int, default=None, metavar="N")
+    p.add_argument("--residuals", type=_count, default=None, metavar="N", help="band residual polynomials, n <= N")
+    p.add_argument("--orthonormal", type=_count, default=None, metavar="N")
+    p.add_argument("--diagnostic", type=_count, default=None, metavar="N")
     p.set_defaults(func=_cmd_lame)
 
     p = sub.add_parser("families", help="classical family registry")
     p.add_argument("--family", required=True, help="e.g. jacobi:-0.5,-0.5 laguerre:0.5 dualhahn:0.5,0,1 cdh:2.75,0.25,1.75")
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=_count, default=5)
     p.add_argument("--recurrence", action="store_true")
     p.add_argument("--eval", default=None, metavar="X")
     p.add_argument("--bochner", action="store_true")
@@ -355,7 +360,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("quad", help="Gauss rule from a family recurrence")
     p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.set_defaults(func=_cmd_quad)
 
     p = sub.add_parser("verify", help="run acceptance suites")

@@ -343,6 +343,8 @@ def orthonormal_form(model: LameModel, n_max: int) -> OrthonormalForm:
     Requires m in (2k+1, 2k+2) for some integer k >= 0, which makes every
     rescaling factor's radicand positive (asserted while building).
     """
+    if n_max < 0:
+        raise ValidationError("n_max must be nonnegative")
     _orthonormal_k(model.m)
     m = model.m
     h = 0.5 * m

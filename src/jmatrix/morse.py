@@ -7,7 +7,9 @@ tridiagonalizing basis pulls back to an orthonormal Laguerre-type basis of
 L^2(R).  The operator then acts with symmetric three-band coefficients whose
 off-diagonal carries the integer factor (n + 1 - N), splitting the space
 into an N-dimensional bound-state block (dual Hahn data) and a half-line
-continuum block (continuous dual Hahn data).
+continuum block (continuous dual Hahn data).  Both blocks read the one pair
+of bands ``_offdiag``/``_diag``: the continuum block is rows N, N+1, ... of
+the same matrix.
 
 All operations are pure given a model; batch computations over levels may
 run concurrently.
@@ -257,28 +259,38 @@ def action_residual(model: MorseModel, n: int, samples=DEFAULT_SAMPLE_GRID) -> f
     b, N, alpha = model.b, model.N, model.alpha
     p = b - N + 0.5
     laguerre = _laguerre_coeffs(model)
+    # norms of y_{n-1}, y_n, y_{n+1}; y_{-1} = 0
+    norm_prev, norm_n, norm_next = (0.0 if j < 0 else math.exp(_log_norm(model, j)) for j in (n - 1, n, n + 1))
     worst = 0.0
     for x in samples:
         x = float(x)
         z = 2.0 * b * math.exp(-x)
-        vals = dict(enumerate(_recurrence(laguerre, z, n + 1)))
-        vals[-1] = vals[-2] = 0.0
+        # L_{n-2} .. L_{n+1} at z, zero below index 0
+        l_prev2, l_prev, l_n, l_next = ([0.0, 0.0] + _recurrence(laguerre, z, n + 1))[-4:]
         phi = math.exp(-p * x - 0.5 * z)
-        norm = [math.exp(_log_norm(model, j)) for j in range(n + 2)]
-        y = {j: norm[j] * phi * vals[j] for j in range(-1, n + 2) if j >= 0}
-        y[-1] = 0.0
+        y_prev, y_n, y_next = norm_prev * phi * l_prev, norm_n * phi * l_n, norm_next * phi * l_next
         # y_n'' through L' relations: d/dx L_j(z(x)) = -j L_j + (j + alpha) L_{j-1}
-        g = (0.5 * z - p - n) * vals[n] + (n + alpha) * vals[n - 1]
+        g = (0.5 * z - p - n) * l_n + (n + alpha) * l_prev
         g_prime = (
-            -0.5 * z * vals[n]
-            + (0.5 * z - p - n) * (-n * vals[n] + (n + alpha) * vals[n - 1])
-            + (n + alpha) * (-(n - 1) * vals[n - 1] + (n + alpha - 1) * vals[n - 2])
+            -0.5 * z * l_n
+            + (0.5 * z - p - n) * (-n * l_n + (n + alpha) * l_prev)
+            + (n + alpha) * (-(n - 1) * l_prev + (n + alpha - 1) * l_prev2)
         )
-        ypp = norm[n] * phi * ((0.5 * z - p) * g + g_prime)
-        lhs = -ypp + model.potential(x) * y[n]
-        rhs = _offdiag(model, n) * y[n + 1] + _diag(model, n) * y[n] + _offdiag(model, n - 1) * y[n - 1]
+        ypp = norm_n * phi * ((0.5 * z - p) * g + g_prime)
+        lhs = -ypp + model.potential(x) * y_n
+        rhs = _offdiag(model, n) * y_next + _diag(model, n) * y_n + _offdiag(model, n - 1) * y_prev
         worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+def _dual_hahn_column(model: MorseModel, mlevel: int, alpha, one) -> list:
+    """R_n(lambda(N-1-mlevel); alpha, 0, N-1) for n < N, typed like ``one`` (just R_0 = 1 when N = 1)."""
+    N = model.N
+    if not 0 <= mlevel <= N - 1:
+        raise ValidationError(f"mlevel must lie in 0..{N - 1}")
+    if N == 1:
+        return [one]
+    return [opfamilies.dual_hahn_value(n, N - 1 - mlevel, alpha, 0 * one, N - 1) for n in range(N)]
 
 
 def discrete_eigvectors(model: MorseModel, mlevel: int) -> list[float]:
@@ -288,17 +300,11 @@ def discrete_eigvectors(model: MorseModel, mlevel: int) -> list[float]:
     R_n(lambda(N-1-mlevel); 2b-2N, 0, N-1).  The direction is verified
     against the QL eigenvector (cosine similarity within 1e-9).
     """
-    N = model.N
-    if not 0 <= mlevel <= N - 1:
-        raise ValidationError(f"mlevel must lie in 0..{N - 1}")
-    if N == 1:
-        comps = [1.0]
-    else:
-        gamma = model.alpha
-        comps = []
-        for n in range(N):
-            r = opfamilies.dual_hahn_value(n, N - 1 - mlevel, gamma, 0.0, N - 1)
-            comps.append(math.sqrt(pochhammer(gamma + 1.0, n) / math.factorial(n)) * float(r))
+    gamma = model.alpha
+    comps = [
+        math.sqrt(pochhammer(gamma + 1.0, n) / math.factorial(n)) * float(r)
+        for n, r in enumerate(_dual_hahn_column(model, mlevel, gamma, 1.0))
+    ]
     vec = np.array(comps)
     ql = bound_states(model).eigenvectors[:, mlevel]
     cos = abs(float(np.dot(vec, ql))) / (np.linalg.norm(vec) * np.linalg.norm(ql))
@@ -331,22 +337,17 @@ def expansion_identity(model: MorseModel, mlevel: int, samples=(0.5, 1.0, 3.0)) 
     with a float tolerance left to the caller.
     """
     N = model.N
-    if not 0 <= mlevel <= N - 1:
-        raise ValidationError(f"mlevel must lie in 0..{N - 1}")
     mode, b = _typed_b(model, None)
     exact = mode is Mode.EXACT
     one = to_mode(1, mode)
     alpha = 2 * b - 2 * N
+    column = _dual_hahn_column(model, mlevel, alpha, one)
     sign = -one if (N + mlevel + 1) % 2 else one
     C = sign / (pochhammer(N + mlevel - 2 * b + 1, N - 1 - mlevel) * math.comb(N - 1, mlevel))
 
     lag = lambda deg, par: opfamilies.family_polynomial(Family.laguerre(par), deg, mode)
     lhs = Polynomial.zero(mode)
-    for n in range(N):
-        if N == 1:
-            r = one
-        else:
-            r = opfamilies.dual_hahn_value(n, N - 1 - mlevel, alpha, 0 * one, N - 1)
+    for n, r in enumerate(column):
         lhs = lhs + lag(n, alpha) * r
     rhs = Polynomial.monomial(N - 1 - mlevel, C, mode) * lag(mlevel, 2 * b - 2 * mlevel - 1)
     diff = lhs - rhs
@@ -357,25 +358,10 @@ def expansion_identity(model: MorseModel, mlevel: int, samples=(0.5, 1.0, 3.0)) 
     return ExpansionIdentity(C=C, max_residual=residual, exact=exact)
 
 
-def _continuum_coeffs(model: MorseModel, n: int) -> tuple[float, float, float]:
-    """(upper, diagonal, lower) of the continuum block's recurrence at offset n."""
-    b, N = model.b, model.N
-    upper = (1 + n) * math.sqrt((N + n + 1) * (2 * b - N + n + 1))
-    diag = -((N - b - 0.5) ** 2) + (1 + n) * (2 * n + 2 * b + 1) - n - N
-    lower = n * math.sqrt((N + n) * (2 * b - N + n)) if n else 0.0
-    return upper, diag, lower
-
-
 def _continuum_kernel(model: MorseModel):
-    """Kernel coefficients of P_n(gamma^2): upper P_{n+1} + lower P_{n-1} =
-    (diagonal - gamma^2) P_n reads gamma^2 P_n = -upper P_{n+1} + diagonal P_n
-    - lower P_{n-1}."""
-
-    def coeffs(n: int):
-        upper, diag, lower = _continuum_coeffs(model, n)
-        return -upper, diag, -lower
-
-    return coeffs
+    """Kernel (a_{N+n}, d_{N+n}, a_{N+n-1}) of P_n(gamma^2): rows N.. of the bands (a_{N-1} is an exact 0)."""
+    N = model.N
+    return lambda n: (_offdiag(model, N + n), _diag(model, N + n), _offdiag(model, N + n - 1))
 
 
 @dataclass(frozen=True)
@@ -416,10 +402,11 @@ def parseval_check(model: MorseModel, n: int, m2: int, rtol: float = 1e-10) -> f
     if not (0 <= n <= 10 and 0 <= m2 <= 10):
         raise ValidationError("indices up to 10 are supported")
     kmax = max(n, m2)
+    kernel = _continuum_kernel(model)
 
     def integrand(g):
         g = np.asarray(g, dtype=float)
-        vals = _recurrence(_continuum_kernel(model), g * g, kmax)
+        vals = _recurrence(kernel, g * g, kmax)
         return vals[n] * vals[m2] * opfamilies.cdh_weight(model.b, model.N, g)
 
     return jacspec.halfline_integrate(integrand, lo=0.0, rtol=rtol, atol=1e-12)

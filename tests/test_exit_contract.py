@@ -139,6 +139,11 @@ def reject_constant(name):
         # reports holding NaN or Infinity, which JSON cannot carry
         ["families", "--family", "jacobi:1e308,1e308", "--n", "3", "--recurrence"],
         ["families", "--family", "cdh:1e200,1e200,1e200", "--n", "3", "--recurrence"],
+        # negative counts, refused by every count flag
+        ["lame", "--e", "3,-1,-2", "--m", "3/2", "--orthonormal", "-3"],
+        ["lame", "--e", "3,-1,-2", "--m", "2", "--residuals", "-2"],
+        ["families", "--family", "jacobi:0,0", "--n", "-3", "--recurrence"],
+        ["families", "--family", "jacobi:0,0", "--n", "-1", "--eval", "1/2"],
     ],
 )
 def test_found_cases_exit_1_with_one_line(capsys, argv):

@@ -33,6 +33,9 @@ CASES = {
     "verify_two": ["verify", "--suite", "quadrature", "morse-expansion"],
     "morse_residual": ["morse", "--b", "9/4", "--residual", "8"],
     "morse_parseval_3_7": ["morse", "--b", "19/5", "--parseval", "3", "7"],
+    "morse_bands_19_5": [
+        "morse", "--b", "19/5", "--levels", "--tridiag", "12", "--residual", "6", "--identity", "1"
+    ],
     "families_jacobi_eval": ["families", "--family", "jacobi:1/2,-1/4", "--n", "8", "--eval", "1/3"],
     "families_laguerre_float_eval": [
         "--mode", "float", "families", "--family", "laguerre:1/2", "--n", "8", "--eval", "1.5"

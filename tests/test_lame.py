@@ -201,6 +201,10 @@ class TestOrthonormalForm:
             with pytest.raises(ValidationError):
                 orthonormal_form(build_lame_model(3, -1, -2, bad), 4)
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            orthonormal_form(build_lame_model(3, -1, -2, F(3, 2)), -3)
+
     @pytest.mark.parametrize("mval", [F(3, 2), F(33, 10), F(57, 10)])
     def test_radicands_positive_to_200(self, mval):
         form = orthonormal_form(build_lame_model(3, -1, -2, mval), 200)

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jmatrix import jacspec, morse
+from jmatrix import jacspec
 from jmatrix.errors import ValidationError
+from jmatrix.jacspec import JacobiOperator
 from jmatrix.morse import (
     action_residual,
     bound_state_energies,
@@ -106,12 +107,15 @@ class TestTridiag:
             assert abs(td.lower_entry(n) - upper_below) <= 1e-13 * max(1.0, abs(upper_below))
 
     def test_continuum_offset_rows(self):
+        # rows N.. of the bands against the continuum block's closed forms
         model = build_morse_model("9/4")
+        b, N = model.b, model.N
         td = schrodinger_tridiag(model, 12)
         for n in range(6):
-            upper, diag, lower = morse._continuum_coeffs(model, n)
-            assert abs(abs(td.a[model.N + n]) - upper) <= 1e-13 * upper
-            assert abs(td.diag[model.N + n] - diag) <= 1e-13 * max(1.0, abs(diag))
+            upper, diag = -td.a[N + n], td.diag[N + n]
+            assert abs((1 + n) * math.sqrt((N + n + 1) * (2 * b - N + n + 1)) - upper) <= 1e-13 * upper
+            closed = -((N - b - 0.5) ** 2) + (1 + n) * (2 * n + 2 * b + 1) - n - N
+            assert abs(closed - diag) <= 1e-13 * max(1.0, abs(diag))
 
     def test_needs_to_reach_the_split(self):
         with pytest.raises(ValidationError):
@@ -276,6 +280,16 @@ class TestContinuum:
     def test_two_routes_agree(self, b, n_max):
         cp = continuous_polys(build_morse_model(b), n_max, 1.3)
         assert cp.max_rel_diff <= 1e-10
+
+    @pytest.mark.parametrize("b", ["9/4", "19/5", "33/10", "7/10", 5.7, "1/5"])
+    def test_recurrence_reads_rows_n_on_of_the_bands(self, b):
+        # bit for bit: the continuum block is the tail of the one Jacobi matrix
+        model = build_morse_model(b)
+        N = model.N
+        td = schrodinger_tridiag(model, N + 12)
+        tail = JacobiOperator.from_sequences(td.a[N:], td.diag[N:])
+        for gamma in (0.3, 0.9, 1.3, 2.7):
+            assert continuous_polys(model, 10, gamma).recurrence == jacspec.eval_pn(tail, gamma**2, 10)
 
     def test_parameters_strictly_positive(self):
         for b in ("9/4", "19/5", 5.7, "1/5"):

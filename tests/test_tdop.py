@@ -346,8 +346,9 @@ class TestSymmetrize:
 
         model = morse.build_morse_model("9/4")
         n_max = 6
-        uppers = [morse._continuum_coeffs(model, n)[0] for n in range(n_max)]
-        diags = [morse._continuum_coeffs(model, n)[1] for n in range(n_max)]
+        td = morse.schrodinger_tridiag(model, model.N + n_max)
+        uppers = [-td.a[model.N + n] for n in range(n_max)]
+        diags = [td.diag[model.N + n] for n in range(n_max)]
         tri = Tridiagonalization(
             tuple(Polynomial.monomial(n, mode=Mode.FLOAT) for n in range(n_max + 1)),
             tuple(1.0 for _ in range(n_max)),
