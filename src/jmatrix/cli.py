@@ -7,11 +7,17 @@ default with fixed field order, floats as shortest round-trip decimals,
 and rationals as "p/q" strings, so identical inputs give byte-identical
 output.  Exit status: 0 on success, 1 on usage errors, 2 on internal
 consistency failures (including failed verify suites).
+
+``main`` builds its parser once per process, on its first call, and reuses
+it: argparse keeps no state between ``parse_args`` calls, and
+``JMATRIX_MODE`` is still read on every call.  ``build_parser`` returns a
+fresh parser each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -38,6 +44,10 @@ from .polycore import (
 from .tdop import tridiagonalize, validate_td
 
 DEFAULT_TOLERANCES = {"quad_rtol": 1e-10, "residual_tol": 1e-9}
+# Size caps, set by run time: a Legendre rule of 1000 nodes takes about
+# 1.5 s, an exact tridiagonalization to n = 200 about 1 s.
+QUAD_MAX_N = 1000
+TRIDIAG_MAX_N = 200
 
 
 class _UsageError(Exception):
@@ -49,22 +59,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _jsonable(value):
-    """Normalize scalars recursively: Fractions to "p/q", numpy to builtins."""
+def _json_default(value):
+    """What json cannot write itself: Fractions as "p/q", numpy scalars and
+    arrays as builtins, anything else as its str."""
     if isinstance(value, Fraction):
         return format_scalar(value)
-    if isinstance(value, (bool, type(None), str)):
-        return value
     if isinstance(value, numbers.Integral):
         return int(value)
     if isinstance(value, numbers.Real):
         return float(value)
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return value.tolist()
     return str(value)
 
 
@@ -74,9 +79,10 @@ def _emit(report: dict, args, csv_rows=None) -> None:
     error, while the next line's write raises BrokenPipeError."""
     if args.out == "json":  # serialized first: a value JSON cannot carry leaves no partial report
         try:
-            lines = (json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n").splitlines(keepends=True)
+            text = json.dumps(report, indent=2, allow_nan=False, default=_json_default)
         except ValueError:
             raise ValidationError("the report holds a number that is not finite, which JSON cannot carry") from None
+        lines = (text + "\n").splitlines(keepends=True)
     elif csv_rows is None:
         raise _UsageError("csv output is not defined for this command/flags")
     else:
@@ -114,6 +120,17 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _count_to(cap: int):
+    """The argparse type of a count flag whose work grows too fast to leave
+    open: a nonnegative int no larger than ``cap``."""
+    def count(text: str) -> int:
+        n = _count(text)
+        if n > cap:
+            raise argparse.ArgumentTypeError(f"at most {cap}, got {n}")
+        return n
+    return count
+
+
 def _parse_scalar_arg(text: str, mode: str, flag: str):
     """A scalar flag value: a Fraction in exact mode (decimals read as
     rationals), else a float; finite as a float either way."""
@@ -147,6 +164,8 @@ def _cmd_tridiag(args) -> int:
 
 
 def _cmd_morse(args) -> int:
+    if args.grid is not None and args.residual is None:
+        raise _UsageError("--grid sets the sample points of --residual and needs it")
     model = morse.build_morse_model(_parse_scalar_arg(args.b, args.mode, "--b"))
     report = _base_report(args, "morse", {"b": args.b})
     report["results"]["model"] = {"b": model.b, "N": model.N}
@@ -326,7 +345,7 @@ def build_parser() -> _Parser:
     p.add_argument("--B", required=True)
     p.add_argument("--C", required=True)
     p.add_argument("--q", default=None, help="use q-difference lowering operators with this q")
-    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--n", type=_count_to(TRIDIAG_MAX_N), required=True)
     p.add_argument("--relaxed", action="store_true", help="admit deg(A) < 3 and deg(B) < 2")
     p.set_defaults(func=_cmd_tridiag)
 
@@ -360,7 +379,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("quad", help="Gauss rule from a family recurrence")
     p.add_argument("--family", required=True)
-    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--n", type=_count_to(QUAD_MAX_N), required=True)
     p.set_defaults(func=_cmd_quad)
 
     p = sub.add_parser("verify", help="run acceptance suites")
@@ -370,10 +389,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> _Parser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
         if args.mode is None:
             args.mode = os.environ.get("JMATRIX_MODE", "exact").lower()
         if args.mode not in ("exact", "float"):

@@ -237,15 +237,14 @@ def _generate(f: Family, n: int, mode: Mode) -> Polynomial:
         return _poly_by_recurrence(n, mode, _typed_coeffs(f, mode))
     if k is FamilyKind.MONOMIAL:
         return Polynomial.monomial(n, mode=mode)
-    if k is FamilyKind.JACOBI:
-        return _poly_jacobi(*params, n, mode)
-    if k is FamilyKind.LAGUERRE:
-        return _poly_laguerre(*params, n, mode)
-    if k is FamilyKind.BESSEL:
+    series = {FamilyKind.JACOBI: _poly_jacobi, FamilyKind.LAGUERRE: _poly_laguerre, FamilyKind.BESSEL: _poly_bessel}
+    if k in series:
         try:
-            return _poly_bessel(*params, n, mode)
-        except ArithmeticError:  # b**j under- or overflows a float
-            raise ValidationError(f"Bessel coefficients of {f.spec_string()} leave the float range") from None
+            return series[k](*params, n, mode)
+        except ArithmeticError:  # n!, or b**j for Bessel, under- or overflows a float
+            raise ValidationError(
+                f"{k.value.capitalize()} coefficients of {f.spec_string()} leave the float range"
+            ) from None
     if k is FamilyKind.DUAL_HAHN:
         return _poly_dual_hahn(params[0], params[1], int(f.params[2]), n, mode)
     if k is FamilyKind.CONTINUOUS_DUAL_HAHN:

@@ -1,15 +1,22 @@
+import argparse
 import json
 import math
+import numbers
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jmatrix
-from jmatrix.cli import main
+from jmatrix import cli
+from jmatrix.cli import build_parser, main
+from jmatrix.errors import ValidationError
+from jmatrix.polycore import format_scalar
+from test_golden import CASES, golden_path
 
 
 def run_json(capsys, argv):
@@ -181,6 +188,43 @@ class TestOtherCommands:
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"error: {quantity} ")
 
+    @pytest.mark.parametrize(
+        "argv, quantity",
+        [
+            (["families", "--family", "jacobi:1/2,1/3", "--n", "180", "--bochner"],
+             "Jacobi coefficients of jacobi:1/2,1/3"),
+            (["families", "--family", "laguerre:1/2", "--n", "200", "--bochner"],
+             "Laguerre coefficients of laguerre:1/2"),
+        ],
+    )
+    def test_series_float_range_error_names_family(self, capsys, argv, quantity):
+        # n! leaves the float range; this printed "int too large to convert to float"
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {quantity} leave the float range\n"
+
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [
+            (["quad", "--family", "hermite", "--n", "1001"], 1000),
+            (["tridiag", "--A", "0,0,0,1", "--B", "0,0,1", "--C", "0,1", "--n", "201"], 200),
+        ],
+    )
+    def test_oversize_count_is_usage_error(self, capsys, argv, cap):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"usage error: argument --n: at most {cap}, got {cap + 1}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quad", "--family", "jacobi:0,0", "--n", "1000"],
+            ["tridiag", "--A", "0,0,0,1", "--B", "0,0,1", "--C", "0,1", "--n", "200"],
+        ],
+    )
+    def test_caps_admit_their_own_size(self, argv):
+        assert build_parser().parse_args(argv).n == int(argv[-1])
+
     def test_verify_single_suite(self, capsys):
         status = main(["verify", "--suite", "weight-ode"])
         captured = capsys.readouterr()
@@ -272,6 +316,109 @@ class TestDeterminism:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "No such file or directory" in err
         assert err.count("\n") == 1
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser built on its first call."""
+
+    BETWEEN = [
+        (["morse", "--b", "9/4", "--parseval", "1"], 1, "usage error:"),
+        (["families", "--family", "jacobi:1e308,1e308", "--n", "3", "--recurrence"], 1, "error:"),
+        (["--out", "csv", "--mode", "float", "morse", "--b", "2.25", "--levels"], 0, ""),
+    ]
+
+    def test_reused_parser_carries_no_state(self, capsys, monkeypatch):
+        monkeypatch.delenv("JMATRIX_MODE", raising=False)
+        names = list(CASES)
+        for name in names:
+            assert main(CASES[name]) == 0
+            assert capsys.readouterr().out == golden_path(name).read_text(), name
+        for argv, status, err_start in self.BETWEEN:
+            assert main(argv) == status
+            out, err = capsys.readouterr()
+            if status:
+                assert out == "" and err.startswith(err_start) and err.count("\n") == 1
+            else:
+                assert len(out.splitlines()) == 2
+        for name in reversed(names):
+            assert main(CASES[name]) == 0
+            assert capsys.readouterr().out == golden_path(name).read_text(), name
+
+    def test_mode_follows_the_environment(self, capsys, monkeypatch):
+        for mode in ("float", "exact", "float"):
+            monkeypatch.setenv("JMATRIX_MODE", mode)
+            status, report = run_json(capsys, ["morse", "--b", "9/4", "--levels"])
+            assert status == 0 and report["mode"] == mode
+
+    def test_main_does_not_build_a_parser_per_call(self, capsys, monkeypatch):
+        assert main(["morse", "--b", "9/4", "--levels"]) == 0
+
+        def fail():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", fail)
+        assert main(["morse", "--b", "9/4", "--levels"]) == 0
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+
+def _jsonable(value):
+    """The recursive normalisation the CLI used before it handed json a
+    ``default``: the oracle for byte-identical reports."""
+    if isinstance(value, Fraction):
+        return format_scalar(value)
+    if isinstance(value, (bool, type(None), str)):
+        return value
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return str(value)
+
+
+class TestSerialisation:
+    ARGS = argparse.Namespace(out="json", output=None)
+    TRICKY = {
+        "fraction": Fraction(-7, 3),
+        "whole_fraction": Fraction(4),
+        "int64": np.int64(-(2**62)),
+        "int8": np.int8(-5),
+        "uint64": np.uint64(2**64 - 1),
+        "float32": np.float32(0.1),
+        "neg_zero": np.float64(-0.0),
+        "float64": np.float64(1 / 3),
+        "np_bool": np.bool_(True),
+        "bool": False,
+        "none": None,
+        "big": 10**40,
+        "text": "1/2",
+        "matrix": np.arange(6, dtype=np.float64).reshape(2, 3) / 7,
+        "objects": np.array([Fraction(1, 3), np.int64(2), np.float32(1.5), None, "s"], dtype=object),
+        "bools": np.array([True, False]),
+        "empty": np.zeros((0, 2)),
+        "tuple": (np.float32(2.5), Fraction(1, 2), (np.int16(3), ())),
+        "complex": 1 + 2j,
+        "np_complex": np.complex128(1 - 1j),
+        "nested": [{"a": np.float64(1e300), "b": [np.int32(7), -0.0]}, {}],
+    }
+
+    def test_emit_matches_the_walk(self, capsys):
+        cli._emit(self.TRICKY, self.ARGS)
+        want = json.dumps(_jsonable(self.TRICKY), indent=2, allow_nan=False) + "\n"
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("bad", [math.nan, np.float32("inf"), np.array([[1.0, math.nan]]), (Fraction(1), -math.inf)])
+    def test_non_finite_value_writes_nothing(self, capsys, bad):
+        with pytest.raises(ValidationError, match="not finite"):
+            cli._emit({"ok": 1, "bad": bad}, self.ARGS)
+        assert capsys.readouterr().out == ""
 
 
 def test_closed_pipe_exits_1_quietly():

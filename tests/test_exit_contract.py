@@ -144,6 +144,8 @@ def reject_constant(name):
         ["lame", "--e", "3,-1,-2", "--m", "2", "--residuals", "-2"],
         ["families", "--family", "jacobi:0,0", "--n", "-3", "--recurrence"],
         ["families", "--family", "jacobi:0,0", "--n", "-1", "--eval", "1/2"],
+        # --grid without the --residual it sets the samples of
+        ["morse", "--b", "9/4", "--grid", "1,2"],
     ],
 )
 def test_found_cases_exit_1_with_one_line(capsys, argv):
