@@ -45,9 +45,13 @@ from .tdop import tridiagonalize, validate_td
 
 DEFAULT_TOLERANCES = {"quad_rtol": 1e-10, "residual_tol": 1e-9}
 # Size caps, set by run time: a Legendre rule of 1000 nodes takes about
-# 1.5 s, an exact tridiagonalization to n = 200 about 1 s.
+# 1.5 s; an exact tridiagonalization to n = 200 takes 0.04 s for A = x^3,
+# B = x^2, C = x and 0.6 s with small rational coefficients (1.7 s wall,
+# for a 15 MB report); exact `families --eval` to n = 3000 is one
+# recurrence pass of about 2 s, and 3000 is the closed-pipe test's size.
 QUAD_MAX_N = 1000
 TRIDIAG_MAX_N = 200
+FAMILIES_MAX_N = 3000
 
 
 class _UsageError(Exception):
@@ -281,8 +285,9 @@ def _cmd_families(args) -> int:
         report["results"]["recurrence"] = rows
     if args.eval is not None:
         x = _parse_scalar_arg(args.eval, args.mode, "--eval")
+        values = opfamilies.family_values(fam, args.n, x)
         report["results"]["values"] = [
-            {"n": n, "value": opfamilies.eval_family(fam, n, x)} for n in range(args.n + 1)
+            {"n": n, "value": _family_value_text(fam, n, v)} for n, v in enumerate(values)
         ]
     if args.bochner:
         samples = [-0.9, -0.3, 0.4, 1.7]
@@ -298,6 +303,19 @@ def _cmd_families(args) -> int:
         report["results"]["structure_relation"] = rows
     _emit(report, args)
     return 0
+
+
+def _family_value_text(fam: Family, n: int, value):
+    """An exact value as its "p/q" text (a float as it is), which Python
+    writes only for integers of at most sys.get_int_max_str_digits() digits."""
+    if not isinstance(value, Fraction):
+        return value
+    try:
+        return format_scalar(value)
+    except ValueError:
+        raise ValidationError(
+            f"{fam.spec_string()} value at degree {n} has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _cmd_quad(args) -> int:
@@ -370,7 +388,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("families", help="classical family registry")
     p.add_argument("--family", required=True, help="e.g. jacobi:-0.5,-0.5 laguerre:0.5 dualhahn:0.5,0,1 cdh:2.75,0.25,1.75")
-    p.add_argument("--n", type=_count, default=5)
+    p.add_argument("--n", type=_count_to(FAMILIES_MAX_N), default=5)
     p.add_argument("--recurrence", action="store_true")
     p.add_argument("--eval", default=None, metavar="X")
     p.add_argument("--bochner", action="store_true")

@@ -40,6 +40,7 @@ __all__ = [
     "family_polynomial",
     "recurrence_coeffs",
     "eval_family",
+    "family_values",
     "eval_family_log",
     "bochner_ode",
     "bochner_residual",
@@ -408,6 +409,39 @@ def eval_family(f: Family, n: int, x):
     if mode is Mode.FLOAT and any(abs(v) > 1e300 for v in values):
         raise FamilyOverflowError(f"{f.kind.value} value at degree <= {n} exceeds 1e300; use eval_family_log")
     return values[-1]
+
+
+def family_values(f: Family, n: int, x) -> list:
+    """phi_0(x) .. phi_n(x) from one forward recurrence.
+
+    The values, and the error if one is raised, are those of
+    ``eval_family(f, m, x)`` for m = 0, 1, .., n in turn: a FLOAT value
+    beyond 1e300 is a FamilyOverflowError naming the first degree that
+    exceeds it, an error of the recurrence coefficients at index m comes
+    only once degrees 0 .. m have passed, and a truncating family fails at
+    the first degree past its truncation.
+    """
+    if n < 0:
+        raise ValidationError("degree must be nonnegative")
+    tr = f.truncation()
+    mode = resolve_mode(scalar_mode(x), f.params_exact(), "rational family parameters")
+    coeffs, x = _typed_coeffs(f, mode), to_mode(x, mode)
+
+    def check_range(values):
+        over = next((m for m, v in enumerate(values) if abs(v) > 1e300), None) if mode is Mode.FLOAT else None
+        if over is not None:
+            raise FamilyOverflowError(f"{f.kind.value} value at degree <= {over} exceeds 1e300; use eval_family_log")
+
+    asked = []  # the indices of the coefficients asked for
+    try:
+        values = _recurrence(lambda m: asked.append(m) or coeffs(m), x, n if tr is None else min(n, tr))
+    except (ValidationError, ArithmeticError):
+        check_range(_recurrence(coeffs, x, asked[-1]))  # degrees 0 .. m passed before index m failed
+        raise
+    check_range(values)
+    if tr is not None and n > tr:
+        raise FamilyTruncationError(f"{f.kind.value} truncates at degree {tr}")
+    return values
 
 
 def eval_family_log(f: Family, n: int, x) -> tuple[float, float]:

@@ -192,16 +192,48 @@ class Tridiagonalization:
         return op.apply(self.y[n]) - rhs
 
     def verify(self, op: TDOperator, tol: float = 0.0) -> None:
-        """Recheck every stored relation through an independent L application."""
+        """Recheck every stored relation through an independent L application.
+
+        EXACT: each relation, its denominators cleared, is checked as an
+        identity of integer rows, with L applied by :class:`_IntegerAction`
+        (A T + B S + C from the coefficients of S and T), which shares no
+        code with the construction.  FLOAT: the residual through ``op.apply``
+        must stay within ``tol`` in every coefficient.
+        """
+        if self.mode is Mode.EXACT:
+            self._verify_exact(op)
+            return
         for n in range(self.n_max):
             res = self.relation_residual(op, n)
-            if self.mode is Mode.EXACT:
-                if not res.is_zero():
-                    raise TridiagonalizationError(n, "exact residual nonzero on verify")
-            else:
-                worst = max((abs(c) for c in res.coeffs), default=0.0)
-                if worst > tol:
-                    raise TridiagonalizationError(n, f"residual {worst:.3e} > {tol}")
+            worst = max((abs(c) for c in res.coeffs), default=0.0)
+            if worst > tol:
+                raise TridiagonalizationError(n, f"residual {worst:.3e} > {tol}")
+
+    def _verify_exact(self, op: TDOperator) -> None:
+        """L y_n = A_n y_{n+1} + B_n y_n + C_n y_{n-1} as integer rows.
+
+        With y_n = Y_n / D_n and L Y = LY / den, the relation times the lcm
+        K of den D_n and the scalar-times-row denominators is an identity of
+        integer rows, each row scaled by one integer known to be exact.
+        """
+        action = _IntegerAction(op, max(len(p.coeffs) for p in self.y))
+        prev, cur = None, _integer_row(self.y[0].coeffs)  # (Y_n, D_n), one row at a time
+        for n in range(self.n_max):
+            nxt = _integer_row(self.y[n + 1].coeffs)
+            terms = [(*nxt, self.An[n]), (*cur, self.Bn[n])]
+            if n >= 1:
+                terms.append((*prev, self.Cn[n]))
+            LY, den = action.apply(cur[0]), action.den * cur[1]
+            K = math.lcm(den, *(d * v.denominator for _, d, v in terms))
+            size = max(len(LY), *(len(row) for row, _, _ in terms))
+            lhs = [c * (K // den) for c in LY] + [0] * (size - len(LY))
+            rhs = [0] * size
+            for row, d, v in terms:
+                scale = v.numerator * (K // (d * v.denominator))
+                rhs = [r + c * scale for r, c in zip(rhs, row)] + rhs[len(row):]
+            if lhs != rhs:
+                raise TridiagonalizationError(n, "exact residual nonzero on verify")
+            prev, cur = cur, nxt
 
     def to_float(self) -> "Tridiagonalization":
         return Tridiagonalization(
@@ -220,6 +252,46 @@ class Tridiagonalization:
         }
 
 
+def _integer_row(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+class _IntegerAction:
+    """The integer twin of :meth:`TDOperator.apply`, for ``verify``.
+
+    ``apply(Y)`` is den L Y for an integer row Y of length <= ``size``, with
+    den a positive integer fixed when the action is built: L Y = A T(Y) +
+    B S(Y) + C Y, with A, B, C and the coefficients of S and T (read through
+    ``coefficient``) cleared of their denominators once.  It does not use the
+    monomial bands of the construction.
+    """
+
+    def __init__(self, op: TDOperator, size: int):
+        t, et = _integer_row([op.T.coefficient(j) for j in range(size)])
+        s, es = _integer_row([op.S.coefficient(j) for j in range(size)])
+        (a, ea), (b, eb), (c, ec) = (_integer_row(p.coeffs) for p in (op.A, op.B, op.C))
+        self.den = math.lcm(ea * et, eb * es, ec)
+        self._t, self._s = t, s
+        self._polys = tuple(
+            [v * (self.den // e) for v in row] for row, e in ((a, ea * et), (b, eb * es), (c, ec))
+        )
+
+    def apply(self, row: Sequence[int]) -> list[int]:
+        images = (
+            [y * t for y, t in zip(row[2:], self._t[2:])],
+            [y * s for y, s in zip(row[1:], self._s[1:])],
+            row,
+        )
+        out = [0] * (len(row) + 1)
+        for poly, image in zip(self._polys, images):
+            for i, v in enumerate(poly):
+                if v:
+                    out[i : i + len(image)] = [o + v * w for o, w in zip(out[i:], image)]
+        return out
+
+
 def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
     """Construct the canonical monic tridiagonalizing basis up to degree n_max.
 
@@ -231,10 +303,14 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
     L y_k is formed from the coefficients of y_k and the four-band monomial
     action (L x^j spans x^(j-2) .. x^(j+1); see ``TDOperator``), computed
     once per degree: O(k) scalar work per step and no polynomial products.
-    :meth:`Tridiagonalization.verify` re-applies L through ``op.apply``, so
-    it checks this construction independently.  In FLOAT mode the band
-    scalars are rounded before they multiply y_k, so results may differ in
-    the last bits from a product-by-product application of L.
+    In EXACT mode that work is done on integers: y_k is a row of integer
+    numerators over one denominator, the bands share one common denominator,
+    each new row is reduced by one gcd, and Fractions are built only for the
+    outputs (see ``_tridiagonalize_exact``).  :meth:`Tridiagonalization.verify`
+    applies L through its own path, so it checks this construction
+    independently.  In FLOAT mode the band scalars are rounded before they
+    multiply y_k, so results may differ in the last bits from a
+    product-by-product application of L.
 
     Raises:
         TridiagonalizationError: if A_k = 0 at some k >= 2 leaves the lower
@@ -243,6 +319,8 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
     """
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
+    if op.mode is Mode.EXACT:
+        return _tridiagonalize_exact(op, n_max)
     mode = op.mode
     zero = to_mode(0, mode)
     one = to_mode(1, mode)
@@ -273,6 +351,69 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
                     k, f"A_{k} = 0 but the x^{p} equation has nonzero right side {format_scalar(rhs)}"
                 )
         ys.append(Polynomial._of(coeffs, mode))
+        An.append(a_k)
+        Bn.append(b_k)
+        Cn.append(c_k)
+    return Tridiagonalization(tuple(ys), tuple(An), tuple(Bn), tuple(Cn))
+
+
+def _tridiagonalize_exact(op: TDOperator, n_max: int) -> Tridiagonalization:
+    """The EXACT construction of :func:`tridiagonalize`, in integers.
+
+    The bands of L x^j are integer rows N_j over one common denominator E
+    (E grows with the bands, and the rows are rescaled with it), y_k is the
+    integer row Y_k over the positive D_k with gcd(Y_k, D_k) = 1, so
+    L y_k = W / (E D_k) for the integer row W.  Then B_k = W_k / (E D_k),
+    C_k = W_{k-1} / (E D_k) (the canonical y_k has no x^(k-1) term), and
+    the lower coefficients of y_{k+1} are Z / (M A_k), where M is the lcm
+    of the three denominators of L y_k - B_k y_k - C_k y_{k-1}, so that
+    each of the three rows is scaled by one integer known to divide.  Each
+    new row is reduced by one gcd with its denominator.  Fractions are
+    built for the outputs only; they are the reduced values of the
+    Fraction loop.
+    """
+    E, bands = 1, []  # bands[j]: E times the coefficients of x^(j-2) .. x^(j+1) in L x^j
+    Y, D = [1], 1
+    Y_prev, D_prev = [], 1
+    ys = [Polynomial.one(Mode.EXACT)]
+    An, Bn, Cn = [], [], []
+    for k in range(n_max):
+        band = op._monomial_action(k)
+        E_new = math.lcm(E, *(v.denominator for v in band))
+        if E_new != E:
+            bands = [[v * (E_new // E) for v in b] for b in bands]
+            E = E_new
+        bands.append([v.numerator * (E // v.denominator) for v in band])
+        W = [0] + [c * b[3] for c, b in zip(Y, bands)]
+        for j in range(k + 1):
+            W[j] += Y[j] * bands[j][2]
+        for j in range(1, k + 1):
+            W[j - 1] += Y[j] * bands[j][1]
+        for j in range(2, k + 1):
+            W[j - 2] += Y[j] * bands[j][0]
+        a_k = band[3]
+        b_k = Fraction(W[k], E * D)
+        c_k = Fraction(0) if k == 0 else Fraction(W[k - 1], E * D)  # y_k has no x^(k-1) term
+        # y_{k+1}[p] = (L y_k - b_k y_k - c_k y_{k-1})[p] / a_k for p <= k - 2
+        M = math.lcm(E * D, b_k.denominator * D, c_k.denominator * D_prev)
+        s_w = M // (E * D)
+        s_y = b_k.numerator * (M // (b_k.denominator * D))
+        s_prev = c_k.numerator * (M // (c_k.denominator * D_prev))
+        Z = [W[p] * s_w - Y[p] * s_y - Y_prev[p] * s_prev for p in range(k - 1)]
+        if a_k == 0:
+            p = next((p for p in range(k - 2, -1, -1) if Z[p]), None)
+            if p is not None:
+                raise TridiagonalizationError(
+                    k, f"A_{k} = 0 but the x^{p} equation has nonzero right side {format_scalar(Fraction(Z[p], M))}"
+                )
+            row, den = [0] * (k + 1) + [1], 1
+        else:
+            den = M * a_k.numerator
+            row = [z * a_k.denominator for z in Z] + [0] * min(k + 1, 2) + [den]
+            g = math.gcd(*row) if den > 0 else -math.gcd(*row)
+            row, den = [v // g for v in row], den // g
+        Y_prev, D_prev, Y, D = Y, D, row, den
+        ys.append(Polynomial._of([Fraction(v, D) for v in Y], Mode.EXACT))
         An.append(a_k)
         Bn.append(b_k)
         Cn.append(c_k)

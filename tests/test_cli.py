@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import jmatrix
-from jmatrix import cli
+from jmatrix import cli, opfamilies
 from jmatrix.cli import build_parser, main
 from jmatrix.errors import ValidationError
 from jmatrix.polycore import format_scalar
@@ -208,6 +208,7 @@ class TestOtherCommands:
         [
             (["quad", "--family", "hermite", "--n", "1001"], 1000),
             (["tridiag", "--A", "0,0,0,1", "--B", "0,0,1", "--C", "0,1", "--n", "201"], 200),
+            (["families", "--family", "jacobi:1/2,1/3", "--n", "3001", "--eval", "1/3"], 3000),
         ],
     )
     def test_oversize_count_is_usage_error(self, capsys, argv, cap):
@@ -220,10 +221,32 @@ class TestOtherCommands:
         [
             ["quad", "--family", "jacobi:0,0", "--n", "1000"],
             ["tridiag", "--A", "0,0,0,1", "--B", "0,0,1", "--C", "0,1", "--n", "200"],
+            ["families", "--family", "hermite", "--n", "3000", "--recurrence"],
         ],
     )
     def test_caps_admit_their_own_size(self, argv):
-        assert build_parser().parse_args(argv).n == int(argv[-1])
+        n = argv[argv.index("--n") + 1]
+        assert build_parser().parse_args(argv).n == int(n)
+
+    def test_family_value_beyond_the_int_text_limit_names_the_family(self, capsys):
+        # the exact laguerre(1/2) value at 1/3 passes 4300 digits at degree 1251
+        assert main(["families", "--family", "laguerre:1/2", "--n", "1260", "--eval", "1/3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: laguerre:1/2 value at degree 1251 has more than {sys.get_int_max_str_digits()} digits\n"
+
+    def test_family_values_are_one_pass(self, capsys, monkeypatch):
+        # the values come from one recurrence, not one per degree; they were
+        # O(n^2) recurrence steps before
+        calls = []
+        recurrence = opfamilies._recurrence
+        monkeypatch.setattr(opfamilies, "_recurrence", lambda *a: calls.append(a[2]) or recurrence(*a))
+        status, report = run_json(capsys, ["families", "--family", "jacobi:1/2,-1/4", "--n", "8", "--eval", "1/3"])
+        assert status == 0 and calls == [8]
+        assert [row["value"] for row in report["results"]["values"]] == [
+            format_scalar(opfamilies.eval_family(opfamilies.Family.parse("jacobi:1/2,-1/4"), n, Fraction(1, 3)))
+            for n in range(9)
+        ]
 
     def test_verify_single_suite(self, capsys):
         status = main(["verify", "--suite", "weight-ode"])

@@ -29,6 +29,12 @@ CASES = {
         "lame", "--e", "9/20,-11/20,1/10", "--m", "3/2", "--diagnostic", "200"
     ],
     "tridiag": ["tridiag", "--A", "0,0,0,1", "--B", "0,0,1", "--C", "0,1", "--n", "10"],
+    "tridiag_q": [
+        "tridiag", "--A", "1,0,0,1/2", "--B", "0,0,1/3", "--C", "1/5,1", "--q", "2/3", "--n", "30"
+    ],
+    "tridiag_rational": [
+        "tridiag", "--A", "1/3,2/5,-3/7,5/4", "--B", "1/2,3,2/3", "--C", "1,1/5", "--n", "30"
+    ],
     "quad_csv": ["--out", "csv", "quad", "--family", "jacobi:0,0", "--n", "20"],
     "verify_two": ["verify", "--suite", "quadrature", "morse-expansion"],
     "morse_residual": ["morse", "--b", "9/4", "--residual", "8"],

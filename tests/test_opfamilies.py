@@ -20,6 +20,7 @@ from jmatrix.opfamilies import (
     eval_family,
     eval_family_log,
     family_jacobi_operator,
+    family_values,
     family_polynomial,
     pochhammer,
     recurrence_coeffs,
@@ -199,6 +200,47 @@ class TestEvalFamily:
         ):
             with pytest.raises(ValidationError, match="exact mode needs rational family parameters"):
                 call()
+
+
+def degree_by_degree(f, n, x):
+    """eval_family for each degree in turn, the oracle of family_values:
+    the values, or the type and text of the first error."""
+    try:
+        return [eval_family(f, m, x) for m in range(n + 1)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("spec, n, x", [
+    ("jacobi:1/2,-1/4", 40, F(1, 3)),
+    ("jacobi:1/2,1/3", 60, 0.3),
+    ("laguerre:1/2", 40, 1.5),
+    ("cdh:11/4,1/4,7/4", 30, F(2)),
+    ("bessel:3,2", 20, F(-1, 2)),
+    ("monomial", 4, 2.0),
+    # FLOAT values beyond 1e300: the first degree that exceeds it is named
+    ("hermite", 400, 30.0),
+    ("chebyshev", 50, 1e10),
+    # degenerate Bessel: the degeneracy at degree 6, unless a value
+    # overflows before it (at degree 2 here)
+    ("bessel:-10,2", 10, F(1, 2)),
+    ("bessel:-10,2", 10, 0.5),
+    ("bessel:-10,2", 10, 1e200),
+    # dual Hahn truncates at degree 5
+    ("dualhahn:1/2,0,5", 5, F(1, 3)),
+    ("dualhahn:1/2,0,5", 8, F(1, 3)),
+    ("dualhahn:1/2,0,5", 8, 1e200),
+])
+def test_family_values_are_eval_family_degree_by_degree(spec, n, x):
+    f = Family.parse(spec)
+    want = degree_by_degree(f, n, x)
+    try:
+        got = family_values(f, n, x)
+    except Exception as exc:
+        got = type(exc), str(exc)
+    assert got == want
+    if isinstance(want, list):
+        assert [type(v) for v in got] == [type(v) for v in want]
 
 
 class TestCacheModes:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -25,6 +26,7 @@ from jmatrix.tdop import (
     NotSymmetrizableError,
     TDOperator,
     TridiagonalizationError,
+    _IntegerAction,
     eval_weight,
     orthogonalize,
     reconstruct_diagonalizer,
@@ -185,15 +187,38 @@ class TestTridiagonalize:
             assert all(abs(g - w) <= 1e-10 * max(1.0, abs(w)) for g, w in zip(got, want))
 
     def test_built_without_apply_and_verified_through_it(self, monkeypatch):
-        # verify is the independent oracle: it re-applies L, the construction does not
+        # verify is the independent oracle: it re-applies L, the construction
+        # does not; in EXACT mode it applies L through the integer twin of
+        # op.apply, once per row
         calls = []
         apply = TDOperator.apply
         monkeypatch.setattr(TDOperator, "apply", lambda op, p: calls.append(p) or apply(op, p))
         op = cubic_op()
         tri = tridiagonalize(op, 6)
         assert calls == []
+        twin = _IntegerAction.apply
+        monkeypatch.setattr(_IntegerAction, "apply", lambda action, row: calls.append(row) or twin(action, row))
         tri.verify(op)
         assert len(calls) == 6
+
+    @pytest.mark.parametrize("q", [None, F(1, 2), F(2, 3), F(3, 2), F(2)])
+    def test_matches_the_apply_construction_at_benchmark_size(self, q):
+        # n = 41, the largest size of the benchmark, on derivative and
+        # q-difference operators: values, and every coefficient a reduced Fraction
+        rng = random.Random(41 if q is None else int(6 * q))
+        for i in (0, 13):
+            op = random_strict_operator(rng, i, depth=41)
+            if q is not None:
+                S = q_derivative_op(q)
+                op = validate_td(op.A, op.B, op.C, S, compose(S, S))
+                assert all(op.leading_action(k) != 0 for k in range(2, 42))
+            tri = tridiagonalize(op, 41)
+            ys, An, Bn, Cn = tridiagonalize_by_apply(op, 41)
+            assert (list(tri.y), list(tri.An), list(tri.Bn), list(tri.Cn)) == (ys, An, Bn, Cn)
+            values = [c for p in tri.y for c in p.coeffs] + [*tri.An, *tri.Bn, *tri.Cn]
+            assert all(type(v) is F and v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+                       for v in values)
+            tri.verify(op)
 
     def test_first_step_canonical(self):
         tri = tridiagonalize(cubic_op(), 4)
@@ -234,8 +259,25 @@ class TestTridiagonalize:
         # satisfy the relation there and must say so instead of returning
         # a basis that violates it
         op = validate_td(P(1, 0, 0, 1), P(), P(0, -6), S(), T())
-        with pytest.raises(TridiagonalizationError, match="index 3"):
+        with pytest.raises(TridiagonalizationError) as info:
             tridiagonalize(op, 6)
+        assert str(info.value) == (
+            "band relation unsatisfiable at index 3 with canonical choices. "
+            "A_3 = 0 but the x^1 equation has nonzero right side 9"
+        )
+        assert info.value.index == 3
+
+    @pytest.mark.parametrize("A, B, C, message", [
+        ((F(1, 2), 0, 0, 1), (), (0, -6),
+         "index 3 with canonical choices. A_3 = 0 but the x^1 equation has nonzero right side 9/2"),
+        ((1, 1, 0, 1), (0, 1), (0, -12),
+         "index 4 with canonical choices. A_4 = 0 but the x^2 equation has nonzero right side 144/5"),
+    ])
+    def test_vanishing_leading_message_names_a_rational_right_side(self, A, B, C, message):
+        op = validate_td(P(*A), P(*B), P(*C), S(), T())
+        with pytest.raises(TridiagonalizationError) as info:
+            tridiagonalize(op, 6)
+        assert str(info.value) == "band relation unsatisfiable at " + message
 
     def test_json_serialization_shape(self):
         tri = tridiagonalize(cubic_op(), 3)
@@ -243,6 +285,76 @@ class TestTridiagonalize:
         assert set(d) == {"A_n", "B_n", "C_n", "y"}
         assert len(d["A_n"]) == 3 and len(d["y"]) == 4
         assert d["y"][1] == ["0", "1"]
+
+
+def _perturbed(tri, field, index, slot=0):
+    """``tri`` with one stored value moved by 10^-30: An, Bn or Cn at
+    ``index``, or coefficient ``slot`` of y at ``index``."""
+    eps = F(1, 10**30)
+    if field == "y":
+        coeffs = list(tri.y[index].coeffs)
+        coeffs[slot] += eps
+        ys = tri.y[:index] + (Polynomial(coeffs),) + tri.y[index + 1:]
+        return dataclasses.replace(tri, y=ys)
+    values = list(getattr(tri, field))
+    values[index] += eps
+    return dataclasses.replace(tri, **{field: tuple(values)})
+
+
+class TestVerifyIsIndependent:
+    @pytest.mark.parametrize("i", [0, 3])
+    @pytest.mark.parametrize("field, index", [
+        ("An", 0), ("An", 7), ("An", 19), ("Bn", 0), ("Bn", 11), ("Bn", 19),
+        ("Cn", 1), ("Cn", 8), ("Cn", 19),
+    ])
+    def test_perturbed_band_is_rejected_at_its_index(self, i, field, index):
+        # operator 3 uses q-difference lowering operators
+        op = random_strict_operator(random.Random(30), i, depth=20)
+        tri = tridiagonalize(op, 20)
+        tri.verify(op)
+        with pytest.raises(TridiagonalizationError, match="exact residual nonzero on verify") as info:
+            _perturbed(tri, field, index).verify(op)
+        assert info.value.index == index
+
+    @pytest.mark.parametrize("i", [0, 3])
+    @pytest.mark.parametrize("index, slot", [(3, 0), (6, 2), (13, 13), (20, 5)])
+    def test_perturbed_basis_is_rejected_at_its_first_relation(self, i, index, slot):
+        # y_m enters the relations m - 1, m and m + 1; the first one, with
+        # A_(m-1) y_m and A_(m-1) != 0 for m - 1 >= 2, fails
+        op = random_strict_operator(random.Random(30), i, depth=20)
+        tri = tridiagonalize(op, 20)
+        with pytest.raises(TridiagonalizationError, match="exact residual nonzero on verify") as info:
+            _perturbed(tri, "y", index, slot).verify(op)
+        assert info.value.index == index - 1
+
+    def test_does_not_use_the_monomial_action(self, monkeypatch):
+        op = random_strict_operator(random.Random(31), 3, depth=20)
+        tri = tridiagonalize(op, 20)
+
+        def refuse(self, j):
+            raise AssertionError("verify used the construction's monomial action")
+
+        monkeypatch.setattr(TDOperator, "_monomial_action", refuse)
+        tri.verify(op)
+
+    def test_agrees_with_the_apply_residual(self):
+        # on a basis that is not the canonical one (Gram-Schmidt against the
+        # Chebyshev moments), perturbed anywhere, verify fails first where
+        # relation_residual, which goes through op.apply, is first nonzero
+        op = validate_td(P(1, 0, -1), P(0, -1), P(0, 1), S(), T(), relaxed=True)
+        orth = orthogonalize(tridiagonalize(op, 8), MomentInnerProduct(CHEB_MOMENTS))
+        orth.verify(op)
+        rng = random.Random(5)
+        for field in ("An", "Bn", "Cn", "y"):
+            for index in range(8):
+                bad = _perturbed(orth, field, index, rng.randrange(index + 1))
+                first = next((n for n in range(8) if not bad.relation_residual(op, n).is_zero()), None)
+                if first is None:
+                    bad.verify(op)
+                    continue
+                with pytest.raises(TridiagonalizationError) as info:
+                    bad.verify(op)
+                assert info.value.index == first
 
 
 def multiplication_operator():
