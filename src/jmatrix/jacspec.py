@@ -288,23 +288,28 @@ def eig_block(J: JacobiOperator, block: tuple[int, int]) -> SpectrumResult:
     return SpectrumResult(w, V, block)
 
 
-def _recurrence(coeffs, x, n_max: int) -> list:
+def _recurrence(coeffs, x, n_max: int, each=None) -> list:
     """p_0(x) .. p_{n_max}(x) of x p_n = u_n p_{n+1} + v_n p_n + w_n p_{n-1}.
 
     ``coeffs(n)`` returns (u_n, v_n, w_n); p_{-1} = 0 and p_0 = x ** 0, the
     one of x's type, so Fractions, floats and numpy arrays pass through.
+    ``each(n, p_n)``, if given, sees every value as it is computed.
 
     Raises:
         ValidationError: if some u_n with n < n_max vanishes.
     """
     prev, cur = 0, x ** 0
     values = [cur]
+    if each is not None:
+        each(0, cur)
     for n in range(n_max):
         u, v, w = coeffs(n)
         if u == 0:
             raise ValidationError(f"recurrence breaks at index {n}: u_{n} vanishes")
         prev, cur = cur, ((x - v) * cur - w * prev) / u
         values.append(cur)
+        if each is not None:
+            each(n + 1, cur)
     return values
 
 

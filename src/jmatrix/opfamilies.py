@@ -22,7 +22,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -411,7 +411,7 @@ def eval_family(f: Family, n: int, x):
     return values[-1]
 
 
-def family_values(f: Family, n: int, x) -> list:
+def family_values(f: Family, n: int, x, each=None) -> list:
     """phi_0(x) .. phi_n(x) from one forward recurrence.
 
     The values, and the error if one is raised, are those of
@@ -419,7 +419,9 @@ def family_values(f: Family, n: int, x) -> list:
     beyond 1e300 is a FamilyOverflowError naming the first degree that
     exceeds it, an error of the recurrence coefficients at index m comes
     only once degrees 0 .. m have passed, and a truncating family fails at
-    the first degree past its truncation.
+    the first degree past its truncation.  ``each(m, value)``, if given, is
+    called on every value as the pass computes it, so that a ValidationError
+    it raises stops the pass at that degree.
     """
     if n < 0:
         raise ValidationError("degree must be nonnegative")
@@ -434,9 +436,10 @@ def family_values(f: Family, n: int, x) -> list:
 
     asked = []  # the indices of the coefficients asked for
     try:
-        values = _recurrence(lambda m: asked.append(m) or coeffs(m), x, n if tr is None else min(n, tr))
+        values = _recurrence(lambda m: asked.append(m) or coeffs(m), x, n if tr is None else min(n, tr), each)
     except (ValidationError, ArithmeticError):
-        check_range(_recurrence(coeffs, x, asked[-1]))  # degrees 0 .. m passed before index m failed
+        if mode is Mode.FLOAT and asked:
+            check_range(_recurrence(coeffs, x, asked[-1]))  # degrees 0 .. m passed before index m failed
         raise
     check_range(values)
     if tr is not None and n > tr:
@@ -641,16 +644,15 @@ def family_jacobi_operator(f: Family):
     diagonal b_n = v_n.  Feed this to the Gauss quadrature construction.
     """
     mass = weight_mass(f)
+    coeffs = cache(lambda n: recurrence_coeffs(f, n))  # each index read once per operator
 
     def a(n: int) -> float:
-        u, _, _ = recurrence_coeffs(f, n)
-        _, _, w = recurrence_coeffs(f, n + 1)
-        prod = float(u) * float(w)
+        prod = float(coeffs(n)[0]) * float(coeffs(n + 1)[2])
         if prod <= 0:
             raise ValidationError("recurrence product u_n * w_{n+1} not positive")
         return math.sqrt(prod)
 
     def b(n: int) -> float:
-        return float(recurrence_coeffs(f, n)[1])
+        return float(coeffs(n)[1])
 
     return JacobiOperator(a=a, b=b), mass

@@ -3,9 +3,12 @@
 Two scalar modes are supported and never mixed silently: EXACT uses
 ``fractions.Fraction`` (identities can be checked coefficient-exactly),
 FLOAT uses IEEE doubles (spectra, quadrature).  Plain ints are accepted in
-either mode.  All values are immutable after construction, so they can be
-shared freely across threads; the only internal mutability is the memoized
-coefficient cache of a degree-lowering operator, whose fills are idempotent.
+either mode.  An EXACT polynomial computes on a reduced row of integer
+numerators over one positive denominator; its ``coeffs``, the reduced
+Fractions, are built on their first read.  All values are immutable after
+construction, so they can be shared freely across threads; the only
+internal mutability is that first-read ``coeffs`` tuple and the memoized
+coefficients of a degree-lowering operator, whose fills are idempotent.
 
 The exact-or-float policy of every pipeline is three helpers: ``read_scalar``
 reads a model input into its float value and, when it is rational, its exact
@@ -179,24 +182,32 @@ def _parse_scalar(token: str):
     return value
 
 
-def _from_zero(cs, mode: Mode):
-    """``cs`` as the sums they would be had they started at the mode's zero.
+def _from_zero(cs):
+    """Float ``cs`` as the sums they would be had they started at 0.0.
 
-    In FLOAT, 0.0 + c is c except that -0.0 becomes 0.0; EXACT has no signed
-    zero.  Arithmetic whose sums skip the zero start passes them through
-    this, so float results stay bit-identical to zero-started sums.
+    0.0 + c is c except that -0.0 becomes 0.0.  FLOAT arithmetic whose sums
+    skip the zero start passes them through this, so its results stay
+    bit-identical to zero-started sums.
     """
-    return cs if mode is Mode.EXACT else [c + 0.0 for c in cs]
+    return [c + 0.0 for c in cs]
 
 
 class Polynomial:
     """Dense univariate polynomial with ascending coefficients in one mode.
 
-    The zero polynomial is the empty coefficient list and has degree -1.
-    Trailing zero coefficients are stripped on construction.
+    The zero polynomial has no coefficients and degree -1.  Trailing zero
+    coefficients are stripped on construction.
+
+    An EXACT value is a row of integer numerators ``_num`` over one positive
+    denominator ``_den``, reduced (gcd(_num, _den) = 1), so that equal
+    values have equal rows.  Its arithmetic runs on the integers: one lcm
+    or product for the denominator and one gcd over each result.
+    ``coeffs``, the tuple of reduced Fractions, is built on its first read
+    and then kept.  A FLOAT value keeps its float tuple as both ``_num`` and
+    ``coeffs``, over ``_den`` = 1, and its arithmetic runs on the floats.
     """
 
-    __slots__ = ("coeffs", "mode")
+    __slots__ = ("mode", "_num", "_den", "_coeffs")
 
     def __init__(self, coeffs: Sequence, mode: Mode | None = None):
         self._fill(*_typed(coeffs, mode, "coefficients"))
@@ -209,15 +220,44 @@ class Polynomial:
         p._fill(coeffs, mode)
         return p
 
+    @classmethod
+    def _rows(cls, num: Sequence[int], den: int) -> "Polynomial":
+        """Trusted EXACT constructor: the polynomial num / den, for a row of
+        ints and an int den > 0.  Strips the row and reduces it by one gcd."""
+        n = len(num)
+        while n and not num[n - 1]:
+            n -= 1
+        num = num[:n]
+        g = math.gcd(*num, den)
+        p = object.__new__(cls)
+        _put(p, Mode.EXACT, tuple([v // g for v in num]) if g > 1 else tuple(num), den // g, None)
+        return p
+
     def _fill(self, coeffs: Sequence, mode: Mode) -> None:
         n = len(coeffs)
         while n and coeffs[n - 1] == 0:
             n -= 1
-        object.__setattr__(self, "coeffs", tuple(coeffs[:n]))
-        object.__setattr__(self, "mode", mode)
+        coeffs = tuple(coeffs[:n])
+        if mode is Mode.FLOAT:
+            _put(self, mode, coeffs, 1, coeffs)
+            return
+        # over the lcm of reduced denominators, row and den share no factor
+        den = math.lcm(*[c.denominator for c in coeffs])
+        _put(self, mode, tuple([c.numerator * (den // c.denominator) for c in coeffs]), den, coeffs)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients, ascending: floats in FLOAT, reduced Fractions in
+        EXACT (built from the row on the first read, then kept)."""
+        c = self._coeffs
+        if c is None:
+            den = self._den
+            c = tuple([Fraction(v, den) for v in self._num])
+            _SET_COEFFS(self, c)
+        return c
 
     # -- construction helpers -------------------------------------------------
 
@@ -235,30 +275,34 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, k: int, coefficient=1, mode: Mode = Mode.EXACT) -> "Polynomial":
-        return cls((0,) * k + (coefficient,), mode)
+        (c,), mode = _typed((coefficient,), mode, "coefficients")
+        if mode is Mode.EXACT:
+            return cls._rows((0,) * k + (c.numerator,), c.denominator)
+        return cls._of((0.0,) * k + (c,), mode)
 
     # -- basic queries ---------------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def coeff(self, k: int):
         """Coefficient of x^k (zero beyond the stored degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._num):
+            c = self._coeffs
+            return Fraction(self._num[k], self._den) if c is None else c[k]
         return to_mode(0, self.mode)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self._num) and self._num[-1] == self._den
 
     def leading(self):
-        if not self.coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(len(self._num) - 1)
 
     def __call__(self, x):
         """Horner evaluation; exact in EXACT mode."""
@@ -276,37 +320,54 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self._num, other._num
+        if self.mode is Mode.EXACT:
+            return _combine(a, self._den, b, other._den, 1)
         out = [x + y for x, y in zip(a, b)]
-        out += _from_zero(a[len(b):] or b[len(a):], self.mode)
+        out += _from_zero(a[len(b):] or b[len(a):])
         return Polynomial._of(out, self.mode)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self._num, other._num
+        if self.mode is Mode.EXACT:
+            return _combine(a, self._den, b, other._den, -1)
         out = [x - y for x, y in zip(a, b)]
         out += a[len(b):]  # c - 0 is c, signed zeros included
-        out += _from_zero([-c for c in b[len(a):]], self.mode)
+        out += _from_zero([-c for c in b[len(a):]])
         return Polynomial._of(out, self.mode)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._of([-c for c in self.coeffs], self.mode)
+        if self.mode is Mode.EXACT:
+            return Polynomial._rows([-c for c in self._num], self._den)
+        return Polynomial._of([-c for c in self._num], self.mode)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check(other)
-            a, b = self.coeffs, other.coeffs
+            a, b = self._num, other._num
             if not a or not b:
                 return Polynomial._of((), self.mode)
+            if self.mode is Mode.EXACT:
+                if len(a) > len(b):
+                    a, b = b, a
+                m = len(b)
+                out = [0] * (len(a) + m - 1)
+                for i, x in enumerate(a):
+                    if x:
+                        out[i : i + m] = [s + x * y for s, y in zip(out[i : i + m], b)]
+                return Polynomial._rows(out, self._den * other._den)
             # out[i + j] sums a[i] * b[j] in increasing i; row 0 starts the
             # first len(b) sums, row i >= 1 starts slot i + len(b) - 1
             out = [a[0] * y for y in b]
             for i in range(1, len(a)):
                 x = a[i]
                 out[i:] = [s + x * y for s, y in zip(out[i:], b)] + [x * b[-1]]
-            return Polynomial._of(_from_zero(out, self.mode), self.mode)
+            return Polynomial._of(_from_zero(out), self.mode)
         s = coerce_scalar(other, self.mode)
-        return Polynomial._of([c * s for c in self.coeffs], self.mode)
+        if self.mode is Mode.EXACT:
+            return Polynomial._rows([c * s.numerator for c in self._num], self._den * s.denominator)
+        return Polynomial._of([c * s for c in self._num], self.mode)
 
     __rmul__ = __mul__
 
@@ -342,12 +403,16 @@ class Polynomial:
         return acc
 
     def derivative(self) -> "Polynomial":
-        return Polynomial._of([k * c for k, c in enumerate(self.coeffs[1:], 1)], self.mode)
+        out = [k * c for k, c in enumerate(self._num[1:], 1)]
+        if self.mode is Mode.EXACT:
+            return Polynomial._rows(out, self._den)
+        return Polynomial._of(out, self.mode)
 
     def to_float(self) -> "Polynomial":
         if self.mode is Mode.FLOAT:
             return self
-        return Polynomial._of([float(c) for c in self.coeffs], Mode.FLOAT)
+        den = self._den  # int / int rounds correctly, as float(Fraction) does
+        return Polynomial._of([v / den for v in self._num], Mode.FLOAT)
 
     # -- comparisons / display ---------------------------------------------------
 
@@ -355,14 +420,40 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.mode is other.mode
-            and self.coeffs == other.coeffs
+            and self._num == other._num
+            and self._den == other._den
         )
 
     def __hash__(self) -> int:
-        return hash((self.mode, self.coeffs))
+        return hash((self.mode, self._num, self._den))
 
     def __repr__(self) -> str:
         return f"Polynomial([{', '.join(format_scalar(c) for c in self.coeffs)}], {self.mode.value})"
+
+
+# Rows, and the star-arguments of gcd and lcm, are built from lists, not
+# generators: CPython resizes a tuple built from a generator, and such tuples
+# pile up in its tuple free lists (over 1 MB of peak memory in a few thousand
+# exact tridiagonalizations).
+#
+# The slot setters, which skip the immutability guard of __setattr__.
+_SET_MODE, _SET_NUM, _SET_DEN, _SET_COEFFS = (getattr(Polynomial, n).__set__ for n in Polynomial.__slots__)
+
+
+def _put(p: Polynomial, mode: Mode, num: tuple, den, coeffs: tuple | None) -> None:
+    _SET_MODE(p, mode)
+    _SET_NUM(p, num)
+    _SET_DEN(p, den)
+    _SET_COEFFS(p, coeffs)
+
+
+def _combine(a: Sequence[int], da: int, b: Sequence[int], db: int, sign: int) -> Polynomial:
+    """a / da + sign * b / db for EXACT rows, over the lcm of da and db."""
+    den = da if da == db else math.lcm(da, db)
+    sa, sb = den // da, sign * (den // db)
+    out = [x * sa + y * sb for x, y in zip(a, b)]
+    out += [x * sa for x in a[len(b):]] or [y * sb for y in b[len(a):]]
+    return Polynomial._rows(out, den)
 
 
 def parse_polynomial(text: str, mode: Mode | None = None) -> Polynomial:
@@ -394,11 +485,13 @@ class DegreeLoweringOperator:
     k >= shift; the latter is checked lazily as coefficients are requested.
     Each d(k) is typed once, when it is memoized: coerced to ``mode`` if the
     operator has one, else required to be an int (mode-neutral operators,
-    such as d/dx and d^2/dx^2, act on either mode).  Fills are idempotent,
-    so the memo is safe for concurrent reads.
+    such as d/dx and d^2/dx^2, act on either mode).  For EXACT polynomials
+    the memo is also held as one integer row over one denominator, extended
+    and rescaled as longer polynomials arrive.  Fills are idempotent and
+    each replaces one attribute, so the memo is safe for concurrent reads.
     """
 
-    __slots__ = ("shift", "label", "mode", "_d", "_cache")
+    __slots__ = ("shift", "label", "mode", "_d", "_cache", "_row")
 
     def __init__(self, shift: int, d: Callable[[int], object], label: str = "", mode: Mode | None = None):
         if shift < 1:
@@ -408,6 +501,7 @@ class DegreeLoweringOperator:
         self.mode = mode
         self._d = d
         self._cache: dict[int, object] = {}
+        self._row: tuple[tuple[int, ...], int] = ((), 1)
         for k in range(self.shift):
             if d(k) != 0:
                 raise DegreeLoweringError(f"{label or 'operator'}: d({k}) must be 0 below shift {shift}")
@@ -430,17 +524,32 @@ class DegreeLoweringOperator:
             self._cache[k] = value
             return value
 
+    def _integer_row(self, size: int) -> tuple[tuple[int, ...], int]:
+        """(row, den) with d(k) = row[k] / den for k < ``size``; den is the
+        lcm of the denominators of d(0) .. d(size - 1)."""
+        row, den = self._row
+        if len(row) < size:
+            new = [self.coefficient(k) for k in range(len(row), size)]
+            grown = math.lcm(den, *[v.denominator for v in new])
+            if grown != den:
+                row = tuple([v * (grown // den) for v in row])
+            row += tuple([v.numerator * (grown // v.denominator) for v in new])
+            den = grown
+            self._row = (row, den)
+        return row, den
+
     def apply(self, p: Polynomial) -> Polynomial:
-        """Linear extension of the monomial action; lowers degree by ``shift``."""
+        """Linear extension of the monomial action; lowers degree by ``shift``.
+
+        On an EXACT polynomial it reads d(k) for every k up to deg p."""
         if self.mode is not None and self.mode is not p.mode:
             raise ModeError(f"{self.mode.value} operator applied to {p.mode.value} polynomial")
-        mode = p.mode
-        zero = to_mode(0, mode)
-        out = [
-            c * self.coefficient(k) if c != 0 else zero
-            for k, c in enumerate(p.coeffs[self.shift:], self.shift)
-        ]
-        return Polynomial._of(_from_zero(out, mode), mode)
+        shift, num = self.shift, p._num
+        if p.mode is Mode.EXACT:
+            row, den = self._integer_row(len(num))
+            return Polynomial._rows([c * d for c, d in zip(num[shift:], row[shift:])], p._den * den)
+        out = [c * self.coefficient(k) if c != 0 else 0.0 for k, c in enumerate(num[shift:], shift)]
+        return Polynomial._of(_from_zero(out), p.mode)
 
     __call__ = apply
 

@@ -216,16 +216,16 @@ class Tridiagonalization:
         K of den D_n and the scalar-times-row denominators is an identity of
         integer rows, each row scaled by one integer known to be exact.
         """
-        action = _IntegerAction(op, max(len(p.coeffs) for p in self.y))
-        prev, cur = None, _integer_row(self.y[0].coeffs)  # (Y_n, D_n), one row at a time
+        action = _IntegerAction(op, max(len(p._num) for p in self.y))
+        prev, cur = None, (self.y[0]._num, self.y[0]._den)  # (Y_n, D_n), one row at a time
         for n in range(self.n_max):
-            nxt = _integer_row(self.y[n + 1].coeffs)
+            nxt = (self.y[n + 1]._num, self.y[n + 1]._den)
             terms = [(*nxt, self.An[n]), (*cur, self.Bn[n])]
             if n >= 1:
                 terms.append((*prev, self.Cn[n]))
             LY, den = action.apply(cur[0]), action.den * cur[1]
-            K = math.lcm(den, *(d * v.denominator for _, d, v in terms))
-            size = max(len(LY), *(len(row) for row, _, _ in terms))
+            K = math.lcm(den, *[d * v.denominator for _, d, v in terms])
+            size = max(len(LY), *[len(row) for row, _, _ in terms])
             lhs = [c * (K // den) for c in LY] + [0] * (size - len(LY))
             rhs = [0] * size
             for row, d, v in terms:
@@ -252,31 +252,24 @@ class Tridiagonalization:
         }
 
 
-def _integer_row(values) -> tuple[list[int], int]:
-    """Rationals as integer numerators over their least common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 class _IntegerAction:
     """The integer twin of :meth:`TDOperator.apply`, for ``verify``.
 
     ``apply(Y)`` is den L Y for an integer row Y of length <= ``size``, with
     den a positive integer fixed when the action is built: L Y = A T(Y) +
-    B S(Y) + C Y, with A, B, C and the coefficients of S and T (read through
-    ``coefficient``) cleared of their denominators once.  It does not use the
-    monomial bands of the construction.
+    B S(Y) + C Y, with A, B, C and the coefficients of S and T (their integer
+    rows, read through ``coefficient``) cleared of their denominators once.
+    It does not use the monomial bands of the construction.
     """
 
     def __init__(self, op: TDOperator, size: int):
-        t, et = _integer_row([op.T.coefficient(j) for j in range(size)])
-        s, es = _integer_row([op.S.coefficient(j) for j in range(size)])
-        (a, ea), (b, eb), (c, ec) = (_integer_row(p.coeffs) for p in (op.A, op.B, op.C))
+        (t, et), (s, es) = op.T._integer_row(size), op.S._integer_row(size)
+        (a, ea), (b, eb), (c, ec) = ((p._num, p._den) for p in (op.A, op.B, op.C))
         self.den = math.lcm(ea * et, eb * es, ec)
         self._t, self._s = t, s
-        self._polys = tuple(
+        self._polys = [
             [v * (self.den // e) for v in row] for row, e in ((a, ea * et), (b, eb * es), (c, ec))
-        )
+        ]
 
     def apply(self, row: Sequence[int]) -> list[int]:
         images = (
@@ -379,7 +372,7 @@ def _tridiagonalize_exact(op: TDOperator, n_max: int) -> Tridiagonalization:
     An, Bn, Cn = [], [], []
     for k in range(n_max):
         band = op._monomial_action(k)
-        E_new = math.lcm(E, *(v.denominator for v in band))
+        E_new = math.lcm(E, *[v.denominator for v in band])
         if E_new != E:
             bands = [[v * (E_new // E) for v in b] for b in bands]
             E = E_new
@@ -413,6 +406,7 @@ def _tridiagonalize_exact(op: TDOperator, n_max: int) -> Tridiagonalization:
             g = math.gcd(*row) if den > 0 else -math.gcd(*row)
             row, den = [v // g for v in row], den // g
         Y_prev, D_prev, Y, D = Y, D, row, den
+        # Polynomial._rows(Y, D) would skip these Fractions; ROADMAP item 6 says why it waits
         ys.append(Polynomial._of([Fraction(v, D) for v in Y], Mode.EXACT))
         An.append(a_k)
         Bn.append(b_k)
@@ -576,8 +570,18 @@ class ReconstructedOperator:
     images: tuple[Polynomial, ...]
 
     def apply(self, p: Polynomial) -> Polynomial:
+        """D p, the sum of c_n D x^n; on EXACT integer rows over one denominator."""
         if p.degree >= len(self.images):
             raise ValidationError("polynomial degree beyond the reconstructed range")
+        if p.mode is Mode.EXACT:
+            terms = [(c, self.images[n]) for n, c in enumerate(p._num) if c]
+            if all(image.mode is Mode.EXACT for _, image in terms):
+                den = math.lcm(*[image._den for _, image in terms])
+                out = [0] * max((len(image._num) for _, image in terms), default=0)
+                for c, image in terms:
+                    s = c * (den // image._den)
+                    out[: len(image._num)] = [o + s * v for o, v in zip(out, image._num)]
+                return Polynomial._rows(out, den * p._den)
         acc = Polynomial.zero(p.mode)
         for n, c in enumerate(p.coeffs):
             if c != 0:
@@ -597,13 +601,27 @@ def reconstruct_diagonalizer(op: TDOperator, n_max: int) -> ReconstructedOperato
     alternating sum D x^n = sum_{k<n} (-1)^k x^k L x^(n-1-k).  Each image
     costs O(n) scalar work: x D x^(n-1) is a shift of the previous image
     and L x^(n-1) has four monomial bands.  (D X + X D) p = L p holds for
-    every polynomial p of degree < n_max (exactly in EXACT mode).
+    every polynomial p of degree < n_max (exactly in EXACT mode).  In EXACT
+    mode the recurrence runs on an integer row over the lcm E of the band
+    denominators so far.
     """
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
     mode = op.mode
-    zero = to_mode(0, mode)
     images = [Polynomial._of((), mode)]
+    if mode is Mode.EXACT:
+        E, prev = 1, [0]  # D x^(n-1) = prev / E
+        for n in range(1, n_max + 1):
+            band = op._monomial_action(n - 1)
+            grown = math.lcm(E, *[v.denominator for v in band])
+            cur = [0] + [-c * (grown // E) for c in prev]
+            for p, v in enumerate(band, n - 3):
+                if p >= 0:
+                    cur[p] += v.numerator * (grown // v.denominator)
+            images.append(Polynomial._rows(cur, grown))
+            E, prev = grown, cur
+        return ReconstructedOperator(tuple(images))
+    zero = to_mode(0, mode)
     prev = [zero]  # coefficients of D x^(n-1), x^0 .. x^(n-1)
     for n in range(1, n_max + 1):
         cur = [zero] + [zero - c for c in prev]  # zero - c: no float -0.0

@@ -235,6 +235,32 @@ class TestOtherCommands:
         assert out == ""
         assert err == f"error: laguerre:1/2 value at degree 1251 has more than {sys.get_int_max_str_digits()} digits\n"
 
+    def test_family_values_stop_at_the_first_value_too_long(self, capsys, monkeypatch):
+        # the pass ends at degree 1251; it used to run on to n = 3000 first
+        asked = []
+        coeffs = opfamilies.recurrence_coeffs
+        monkeypatch.setattr(opfamilies, "recurrence_coeffs", lambda f, n: asked.append(n) or coeffs(f, n))
+        assert main(["families", "--family", "laguerre:1/2", "--n", "3000", "--eval", "1/3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: laguerre:1/2 value at degree 1251 has more than {sys.get_int_max_str_digits()} digits\n"
+        assert max(asked) == 1250
+
+    def test_bochner_is_capped_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work done past the --bochner cap")
+
+        monkeypatch.setattr(opfamilies, "bochner_residual", refuse)
+        monkeypatch.setattr(opfamilies.Family, "parse", refuse)
+        assert main(["families", "--family", "hermite", "--n", "301", "--bochner"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"usage error: --bochner: --n at most {cli.BOCHNER_MAX_N}, got 301\n"
+
+    def test_bochner_cap_admits_its_own_size(self, capsys, monkeypatch):
+        monkeypatch.setattr(opfamilies, "bochner_residual", lambda f, n, samples: 0.0)
+        status, report = run_json(capsys, ["families", "--family", "hermite", "--n", "300", "--bochner"])
+        assert status == 0 and [r["n"] for r in report["results"]["ode_residuals"]] == list(range(301))
+
     def test_family_values_are_one_pass(self, capsys, monkeypatch):
         # the values come from one recurrence, not one per degree; they were
         # O(n^2) recurrence steps before

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jmatrix.errors import ValidationError
 from jmatrix.polycore import (
@@ -292,3 +293,168 @@ class TestScalarPolicy:
     def test_to_mode(self):
         assert type(to_mode(F(1, 4), Mode.EXACT)) is F and to_mode(F(1, 4), Mode.FLOAT) == 0.25
         assert type(to_mode(3, Mode.EXACT)) is F and type(to_mode(3, Mode.FLOAT)) is float
+
+
+# -- the Fraction-tuple arithmetic, as the oracle of the integer rows ----------
+#
+# EXACT polynomials compute on integer rows over one denominator.  These
+# helpers are the coefficient-by-coefficient Fraction arithmetic the rows
+# replaced, on plain tuples of Fractions.
+
+
+def o_strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def o_add(a, b):
+    return o_strip([x + y for x, y in zip(a, b)] + list(a[len(b):] or b[len(a):]))
+
+
+def o_sub(a, b):
+    return o_strip([x - y for x, y in zip(a, b)] + list(a[len(b):]) + [-c for c in b[len(a):]])
+
+
+def o_neg(a):
+    return tuple(-c for c in a)
+
+
+def o_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [a[0] * y for y in b]
+    for i in range(1, len(a)):
+        x = a[i]
+        out[i:] = [s + x * y for s, y in zip(out[i:], b)] + [x * b[-1]]
+    return o_strip(out)
+
+
+def o_scale(a, s):
+    return o_strip([c * s for c in a])
+
+
+def o_derivative(a):
+    return o_strip([k * c for k, c in enumerate(a[1:], 1)])
+
+
+def o_lower(a, shift, d):
+    """x^k -> d(k) x^(k - shift)."""
+    return o_strip([c * d(k) if c != 0 else F(0) for k, c in enumerate(a[shift:], shift)])
+
+
+def o_qd(q):
+    return lambda k: (1 - q**k) / (1 - q)
+
+
+def assert_is(p, want):
+    """p holds the oracle's coefficients, as reduced Fractions, and its row,
+    equality and hash agree with the list-built polynomial of them."""
+    want = tuple(F(c) for c in want)
+    assert p.mode is Mode.EXACT
+    assert p.coeffs == want
+    assert all(type(c) is F for c in p.coeffs)
+    assert p.degree == len(want) - 1 and p.is_zero() == (not want)
+    assert p._den > 0 and math.gcd(*p._num, p._den) == 1 and (not p._num or p._num[-1] != 0)
+    built = Polynomial(list(want))
+    assert p == built and hash(p) == hash(built)
+    assert [p.coeff(k) for k in range(len(want) + 2)] == list(want) + [0, 0]
+
+RATIONALS = st.one_of(
+    st.just(F(0)),
+    st.integers(-9, 9).map(F),
+    st.fractions(min_value=-40, max_value=40, max_denominator=36),
+    st.fractions(min_value=F(-1, 10**6), max_value=F(1, 10**6), max_denominator=10**9),
+)
+ROWS = st.lists(RATIONALS, max_size=9).map(tuple)
+SCALARS = st.one_of(st.integers(-7, 7), RATIONALS)
+QS = st.sampled_from([F(1, 2), F(2, 3), F(3, 2), F(2)])
+EXAMPLES = settings(max_examples=300, derandomize=True, deadline=None, database=None)
+FEWER = settings(EXAMPLES, max_examples=100)
+
+
+class TestRowsAgainstTheFractionOracle:
+    @EXAMPLES
+    @given(ROWS, ROWS, SCALARS)
+    def test_arithmetic(self, a, b, s):
+        p, q = Polynomial(a), Polynomial(b)
+        a, b = o_strip(a), o_strip(b)
+        assert_is(p, a)
+        assert_is(p + q, o_add(a, b))
+        assert_is(q + p, o_add(b, a))
+        assert_is(p - q, o_sub(a, b))
+        assert_is(-p, o_neg(a))
+        assert_is(p * q, o_mul(a, b))
+        assert_is(q * p, o_mul(a, b))
+        assert_is(p * s, o_scale(a, s))
+        assert_is(s * p, o_scale(a, s))
+        assert_is(p.derivative(), o_derivative(a))
+        assert_is(p - p, ())
+        assert_is(p + (-p), ())
+        assert_is((p + q) - q, a)  # a sum whose tail cancels
+
+    @FEWER
+    @given(ROWS)
+    def test_queries(self, a):
+        p, a = Polynomial(a), o_strip(a)
+        if a:
+            assert p.leading() == a[-1] and type(p.leading()) is F
+            assert p.is_monic() == (a[-1] == 1)
+            assert (p * (1 / a[-1])).is_monic()
+        assert [c.hex() for c in p.to_float().coeffs] == [float(c).hex() for c in a]
+
+    @FEWER
+    @given(st.lists(ROWS, min_size=1, max_size=5), QS)
+    def test_lowering_operators(self, rows, q):
+        # one operator of each kind sees every row in turn, so its integer
+        # memo is extended (and, for q-derivatives, rescaled) along the way
+        ops = [
+            (derivative_op(), 1, lambda k: k),
+            (second_derivative_op(), 2, lambda k: k * (k - 1)),
+            (q_derivative_op(q), 1, o_qd(q)),
+            (compose(q_derivative_op(q), q_derivative_op(q)), 2, lambda k: o_qd(q)(k) * o_qd(q)(k - 1)),
+        ]
+        for a in rows:
+            for op, shift, d in ops:
+                assert_is(op.apply(Polynomial(a)), o_lower(o_strip(a), shift, d))
+
+    def test_row_built_equals_list_built(self):
+        p = Polynomial._rows([2, -4, 0, 6, 0, 0], 12)
+        assert p._num == (1, -2, 0, 3) and p._den == 6
+        assert_is(p, (F(1, 6), F(-1, 3), 0, F(1, 2)))
+        assert_is(Polynomial._rows([0, 0], 5), ())
+        assert Polynomial._rows([], 7)._den == 1
+
+    def test_huge_values_round_once_to_float(self):
+        p = Polynomial([F(10**400 + 1, 3**700), F(-(7**500), 10**420), F(1, 3)])
+        assert [c.hex() for c in p.to_float().coeffs] == [float(c).hex() for c in p.coeffs]
+
+
+class TestDiagonalizerAt41:
+    @pytest.mark.parametrize("q", [None, F(1, 2), F(2, 3), F(3, 2), F(2)])
+    def test_anticommutator_is_the_operator(self, q):
+        from jmatrix.tdop import reconstruct_diagonalizer, validate_td
+
+        A, B, C = (F(1, 3), F(-2, 5), F(3, 7), F(5, 4)), (F(1, 2), F(3), F(-2, 3)), (F(1), F(1, 5))
+        if q is None:
+            S, T, d = derivative_op(), second_derivative_op(), (lambda k: k)
+        else:
+            S, d = q_derivative_op(q), o_qd(q)
+            T = compose(S, S)
+        op = validate_td(Polynomial(A), Polynomial(B), Polynomial(C), S, T)
+        D = reconstruct_diagonalizer(op, 41)
+        x = Polynomial.x()
+        for j in range(41):
+            mono = (F(0),) * j + (F(1),)
+            L = o_add(o_add(o_mul(A, o_lower(mono, 2, lambda k: d(k) * d(k - 1))), o_mul(B, o_lower(mono, 1, d))),
+                      o_mul(C, mono))
+            assert_is(op.apply(Polynomial(mono)), L)
+            assert (D.apply(x * Polynomial.monomial(j)) + x * D.apply(Polynomial.monomial(j))
+                    - op.apply(Polynomial.monomial(j))).is_zero()
+        # D on a dense polynomial is the sum of its coefficients times the images
+        p = tuple(F((-1) ** k * (k + 1), k % 5 + 1) for k in range(41))
+        want = ()
+        for k, c in enumerate(p):
+            want = o_add(want, o_scale(D.images[k].coeffs, c))
+        assert_is(D.apply(Polynomial(p)), want)
