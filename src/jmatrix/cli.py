@@ -50,11 +50,13 @@ DEFAULT_TOLERANCES = {"quad_rtol": 1e-10, "residual_tol": 1e-9}
 # for a 15 MB report); exact `families --eval` to n = 3000 is one
 # recurrence pass of about 2 s, and 3000 is the closed-pipe test's size;
 # `families --bochner` checks the ODE degree by degree in O(n^3), 3 s at
-# n = 300 and 18 s at n = 600.
+# n = 300 and 18 s at n = 600; exact `morse --identity` takes about 1 s at
+# N = 64 and 10 s at N = 128, nearly all of it in the dual Hahn column.
 QUAD_MAX_N = 1000
 TRIDIAG_MAX_N = 200
 FAMILIES_MAX_N = 3000
 BOCHNER_MAX_N = 300
+IDENTITY_MAX_N = 64
 
 
 class _UsageError(Exception):
@@ -174,6 +176,8 @@ def _cmd_morse(args) -> int:
     if args.grid is not None and args.residual is None:
         raise _UsageError("--grid sets the sample points of --residual and needs it")
     model = morse.build_morse_model(_parse_scalar_arg(args.b, args.mode, "--b"))
+    if args.identity is not None and model.N > IDENTITY_MAX_N:
+        raise _UsageError(f"--identity: N at most {IDENTITY_MAX_N}, got {model.N}")
     report = _base_report(args, "morse", {"b": args.b})
     report["results"]["model"] = {"b": model.b, "N": model.N}
     csv_rows = None

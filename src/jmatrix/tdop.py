@@ -135,6 +135,27 @@ class TDOperator:
             a(3) * dd + b(2) * d + c(1),
         )
 
+    def _integer_bands(self, size: int) -> tuple[list[list[int]], int]:
+        """EXACT: the bands of L x^j for every j < ``size`` as integer rows
+        over one denominator E, so ``rows[j][i] / E`` is
+        ``_monomial_action(j)[i]``.
+
+        E = lcm(den A den T, den B den S, den C), with A, B, C read from
+        their rows and S and T from their integer rows; d(k) is read for
+        k < ``size`` only.
+        """
+        (t, et), (s, es) = self.T._integer_row(size), self.S._integer_row(size)
+        (a, ea), (b, eb), (c, ec) = ((p._num, p._den) for p in (self.A, self.B, self.C))
+        E = math.lcm(ea * et, eb * es, ec)
+        a0, a1, a2, a3 = [v * (E // (ea * et)) for v in a] + [0] * (4 - len(a))
+        b0, b1, b2 = [v * (E // (eb * es)) for v in b] + [0] * (3 - len(b))
+        c0, c1 = [v * (E // ec) for v in c] + [0] * (2 - len(c))
+        rows = [
+            [a0 * dd, a1 * dd + b0 * d, a2 * dd + b1 * d + c0, a3 * dd + b2 * d + c1]
+            for dd, d in zip(t[:size], s[:size])
+        ]
+        return rows, E
+
     def to_float(self) -> "TDOperator":
         return TDOperator(self.A.to_float(), self.B.to_float(), self.C.to_float(), self.S, self.T)
 
@@ -297,9 +318,11 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
     action (L x^j spans x^(j-2) .. x^(j+1); see ``TDOperator``), computed
     once per degree: O(k) scalar work per step and no polynomial products.
     In EXACT mode that work is done on integers: y_k is a row of integer
-    numerators over one denominator, the bands share one common denominator,
-    each new row is reduced by one gcd, and Fractions are built only for the
-    outputs (see ``_tridiagonalize_exact``).  :meth:`Tridiagonalization.verify`
+    numerators over one denominator, the bands are one integer table over
+    one common denominator, and each new row is reduced by one gcd and
+    handed over as the row of y_{k+1} (see ``_tridiagonalize_exact``); the
+    Fraction coefficients are built on their first read.
+    :meth:`Tridiagonalization.verify`
     applies L through its own path, so it checks this construction
     independently.  In FLOAT mode the band scalars are rounded before they
     multiply y_k, so results may differ in the last bits from a
@@ -353,30 +376,29 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
 def _tridiagonalize_exact(op: TDOperator, n_max: int) -> Tridiagonalization:
     """The EXACT construction of :func:`tridiagonalize`, in integers.
 
-    The bands of L x^j are integer rows N_j over one common denominator E
-    (E grows with the bands, and the rows are rescaled with it), y_k is the
+    The bands of L x^j for j < n_max are integer rows over one denominator
+    E, fixed per operator (``TDOperator._integer_bands``), y_k is the
     integer row Y_k over the positive D_k with gcd(Y_k, D_k) = 1, so
     L y_k = W / (E D_k) for the integer row W.  Then B_k = W_k / (E D_k),
     C_k = W_{k-1} / (E D_k) (the canonical y_k has no x^(k-1) term), and
     the lower coefficients of y_{k+1} are Z / (M A_k), where M is the lcm
     of the three denominators of L y_k - B_k y_k - C_k y_{k-1}, so that
     each of the three rows is scaled by one integer known to divide.  Each
-    new row is reduced by one gcd with its denominator.  Fractions are
-    built for the outputs only; they are the reduced values of the
-    Fraction loop.
+    y_{k+1} is handed over as its row, which ``Polynomial._rows`` reduces
+    by one gcd; A_k, B_k and C_k are the reduced Fractions of the Fraction
+    loop.
+
+    Errors come in the order of a construction that forms L x^k at step
+    k: a step that fails below the first degree whose coefficients cannot
+    be read fails first.
     """
-    E, bands = 1, []  # bands[j]: E times the coefficients of x^(j-2) .. x^(j+1) in L x^j
-    Y, D = [1], 1
-    Y_prev, D_prev = [], 1
+    # bands[j]: E times the coefficients of x^(j-2) .. x^(j+1) in L x^j
+    bands, E = _band_table(op, n_max, lambda j: _tridiagonalize_exact(op, j))
+    Y, D = (1,), 1
+    Y_prev, D_prev = (), 1
     ys = [Polynomial.one(Mode.EXACT)]
     An, Bn, Cn = [], [], []
     for k in range(n_max):
-        band = op._monomial_action(k)
-        E_new = math.lcm(E, *[v.denominator for v in band])
-        if E_new != E:
-            bands = [[v * (E_new // E) for v in b] for b in bands]
-            E = E_new
-        bands.append([v.numerator * (E // v.denominator) for v in band])
         W = [0] + [c * b[3] for c, b in zip(Y, bands)]
         for j in range(k + 1):
             W[j] += Y[j] * bands[j][2]
@@ -384,7 +406,7 @@ def _tridiagonalize_exact(op: TDOperator, n_max: int) -> Tridiagonalization:
             W[j - 1] += Y[j] * bands[j][1]
         for j in range(2, k + 1):
             W[j - 2] += Y[j] * bands[j][0]
-        a_k = band[3]
+        a_k = Fraction(bands[k][3], E)
         b_k = Fraction(W[k], E * D)
         c_k = Fraction(0) if k == 0 else Fraction(W[k - 1], E * D)  # y_k has no x^(k-1) term
         # y_{k+1}[p] = (L y_k - b_k y_k - c_k y_{k-1})[p] / a_k for p <= k - 2
@@ -399,19 +421,34 @@ def _tridiagonalize_exact(op: TDOperator, n_max: int) -> Tridiagonalization:
                 raise TridiagonalizationError(
                     k, f"A_{k} = 0 but the x^{p} equation has nonzero right side {format_scalar(Fraction(Z[p], M))}"
                 )
-            row, den = [0] * (k + 1) + [1], 1
-        else:
-            den = M * a_k.numerator
-            row = [z * a_k.denominator for z in Z] + [0] * min(k + 1, 2) + [den]
-            g = math.gcd(*row) if den > 0 else -math.gcd(*row)
-            row, den = [v // g for v in row], den // g
-        Y_prev, D_prev, Y, D = Y, D, row, den
-        # Polynomial._rows(Y, D) would skip these Fractions; ROADMAP item 6 says why it waits
-        ys.append(Polynomial._of([Fraction(v, D) for v in Y], Mode.EXACT))
+            y = Polynomial._rows([0] * (k + 1) + [1], 1)
+        else:  # Z / (M A_k), with the sign of A_k moved onto the row
+            s, den = (a_k.denominator, M * a_k.numerator) if a_k > 0 else (-a_k.denominator, -M * a_k.numerator)
+            y = Polynomial._rows([z * s for z in Z] + [0] * min(k + 1, 2) + [den], den)
+        ys.append(y)
+        Y_prev, D_prev, Y, D = Y, D, y._num, y._den
         An.append(a_k)
         Bn.append(b_k)
         Cn.append(c_k)
     return Tridiagonalization(tuple(ys), tuple(An), tuple(Bn), tuple(Cn))
+
+
+def _band_table(op: TDOperator, size: int, steps=None) -> tuple[list[list[int]], int]:
+    """``op._integer_bands(size)``.  If it fails, raise what a construction
+    that forms L x^j at its step j raises: for the first j whose
+    coefficients cannot be read, the error of ``steps(j)`` (the steps below
+    j) if there is one, else that of L x^j."""
+    try:
+        return op._integer_bands(size)
+    except Exception:
+        for j in range(size):
+            try:
+                op._monomial_action(j)
+            except Exception:
+                if steps is not None and j:
+                    steps(j)
+                raise
+        raise
 
 
 def _nonzero(value, mode: Mode, coeffs: Sequence) -> bool:
@@ -602,24 +639,24 @@ def reconstruct_diagonalizer(op: TDOperator, n_max: int) -> ReconstructedOperato
     costs O(n) scalar work: x D x^(n-1) is a shift of the previous image
     and L x^(n-1) has four monomial bands.  (D X + X D) p = L p holds for
     every polynomial p of degree < n_max (exactly in EXACT mode).  In EXACT
-    mode the recurrence runs on an integer row over the lcm E of the band
-    denominators so far.
+    mode the recurrence runs on integer rows over the one denominator E of
+    the band table (``TDOperator._integer_bands``), fixed per operator, and
+    every image is that row over E, reduced by ``Polynomial._rows``.
     """
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
     mode = op.mode
     images = [Polynomial._of((), mode)]
     if mode is Mode.EXACT:
-        E, prev = 1, [0]  # D x^(n-1) = prev / E
-        for n in range(1, n_max + 1):
-            band = op._monomial_action(n - 1)
-            grown = math.lcm(E, *[v.denominator for v in band])
-            cur = [0] + [-c * (grown // E) for c in prev]
+        bands, E = _band_table(op, n_max)
+        prev = [0]  # D x^(n-1) = prev / E
+        for n, band in enumerate(bands, 1):
+            cur = [0] + [-c for c in prev]
             for p, v in enumerate(band, n - 3):
                 if p >= 0:
-                    cur[p] += v.numerator * (grown // v.denominator)
-            images.append(Polynomial._rows(cur, grown))
-            E, prev = grown, cur
+                    cur[p] += v
+            images.append(Polynomial._rows(cur, E))
+            prev = cur
         return ReconstructedOperator(tuple(images))
     zero = to_mode(0, mode)
     prev = [zero]  # coefficients of D x^(n-1), x^0 .. x^(n-1)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import jmatrix
-from jmatrix import cli, opfamilies
+from jmatrix import cli, morse, opfamilies
 from jmatrix.cli import build_parser, main
 from jmatrix.errors import ValidationError
 from jmatrix.polycore import format_scalar
@@ -260,6 +260,38 @@ class TestOtherCommands:
         monkeypatch.setattr(opfamilies, "bochner_residual", lambda f, n, samples: 0.0)
         status, report = run_json(capsys, ["families", "--family", "hermite", "--n", "300", "--bochner"])
         assert status == 0 and [r["n"] for r in report["results"]["ode_residuals"]] == list(range(301))
+
+    def test_identity_is_capped_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work done past the --identity cap")
+
+        monkeypatch.setattr(morse, "expansion_identity", refuse)
+        assert main(["morse", "--b", "261/4", "--identity", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"usage error: --identity: N at most {cli.IDENTITY_MAX_N}, got 65\n"
+
+    def test_identity_cap_admits_its_own_size(self, capsys, monkeypatch):
+        levels = []
+        stub = lambda model, m: levels.append((model.N, m)) or morse.ExpansionIdentity(C=1, max_residual=0.0, exact=True)
+        monkeypatch.setattr(morse, "expansion_identity", stub)
+        status, report = run_json(capsys, ["morse", "--b", "257/4", "--identity", "3"])
+        assert status == 0 and levels == [(cli.IDENTITY_MAX_N, 3)]
+        assert report["results"]["expansion_identity"]["level"] == 3
+
+    @pytest.mark.parametrize("n", ["3", "6"])
+    def test_vanishing_q_coefficient_below_n_is_an_error(self, capsys, n):
+        # d(2) = (1 - (-1)^2) / 2 = 0, and L x^2 is formed for n >= 3
+        argv = ["--mode", "exact", "tridiag", "--A", "0,0,0,1", "--B", "0,0,1", "--C", "0,1", "--q", "-1", "--n", n]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: D_q[q=-1]: d(2) = 0 at k >= shift\n"
+
+    def test_vanishing_q_coefficient_at_n_is_not_read(self, capsys):
+        argv = ["--mode", "exact", "tridiag", "--A", "0,0,0,1", "--B", "0,0,1", "--C", "0,1", "--q", "-1", "--n", "2"]
+        status, report = run_json(capsys, argv)
+        assert status == 0
+        assert report["results"] == {"A_n": ["1", "2"], "B_n": ["0", "0"], "C_n": ["0", "0"],
+                                     "y": [["1"], ["0", "1"], ["0", "0", "1"]]}
 
     def test_family_values_are_one_pass(self, capsys, monkeypatch):
         # the values come from one recurrence, not one per degree; they were

@@ -9,6 +9,8 @@ import pytest
 from jmatrix import lame, morse
 from jmatrix.errors import ValidationError
 from jmatrix.polycore import (
+    DegreeLoweringError,
+    DegreeLoweringOperator,
     Mode,
     ModeError,
     Polynomial,
@@ -128,6 +130,42 @@ class TestApply:
                 assert out.coeff(k - 2) == A.coeff(0) * dpk
 
 
+class TestIntegerBands:
+    @pytest.mark.parametrize("q", [None, F(1, 2), F(2, 3), F(3, 2), F(2)])
+    def test_rows_over_E_are_the_monomial_action(self, q):
+        # _monomial_action reads Fractions through coefficient, not the
+        # integer rows of S and T, so it is an independent oracle
+        rng = random.Random(77 if q is None else int(12 * q))
+        for i in range(8):  # eight degree patterns, rational A, B and C
+            op = with_lowering(random_strict_operator(rng, 4 * i, depth=2), q)
+            rows, E = op._integer_bands(41)
+            assert len(rows) == 41 and type(E) is int and E > 0
+            for j, row in enumerate(rows):
+                assert len(row) == 4 and all(type(v) is int for v in row)
+                assert [F(v, E) for v in row] == list(op._monomial_action(j))
+
+    def test_one_denominator_for_the_whole_table(self):
+        Sq = q_derivative_op(F(2, 3))
+        op = validate_td(P(F(1, 3), 0, 0, F(5, 4)), P(F(1, 2), F(3, 7)), P(F(1, 5)), Sq, compose(Sq, Sq))
+        (_, et), (_, es) = op.T._integer_row(9), op.S._integer_row(9)
+        rows, E = op._integer_bands(9)
+        assert E == math.lcm(12 * et, 14 * es, 5)
+        assert [F(v, E) for v in rows[8]] == list(op._monomial_action(8))
+        # rows of S and T memoized further do not lengthen a smaller table
+        op._integer_bands(30)
+        rows, E = op._integer_bands(9)
+        assert len(rows) == 9 and [F(v, E) for v in rows[8]] == list(op._monomial_action(8))
+        assert len(reconstruct_diagonalizer(op, 9).images) == 10
+
+    def test_reads_the_coefficients_below_size_only(self):
+        # d(7) = 0 breaks the contract; a table of 7 rows never reads it
+        op = validate_td(P(1, 2, 0, 3), P(0, 1, 1), P(2, 1), lowering(1, "S", 7), T())
+        rows, E = op._integer_bands(7)
+        assert [[F(v, E) for v in row] for row in rows] == [list(op._monomial_action(j)) for j in range(7)]
+        with pytest.raises(DegreeLoweringError, match=r"S: d\(7\) = 0 at k >= shift"):
+            op._integer_bands(8)
+
+
 def tridiagonalize_by_apply(op, n_max):
     """The canonical construction with L y_k formed by polynomial products
     through op.apply: the oracle for the band-action tridiagonalize.
@@ -151,6 +189,38 @@ def tridiagonalize_by_apply(op, n_max):
         Bn.append(b_k)
         Cn.append(c_k)
     return ys, An, Bn, Cn
+
+
+def fraction_diagonalizer(op, n_max):
+    """D x^n = L x^(n-1) - x D x^(n-1) on Fractions, from the monomial
+    action: the oracle for the integer rows of reconstruct_diagonalizer."""
+    images, prev = [Polynomial.zero()], [F(0)]
+    for n in range(1, n_max + 1):
+        cur = [F(0)] + [-c for c in prev]
+        for p, v in enumerate(op._monomial_action(n - 1), n - 3):
+            if p >= 0:
+                cur[p] += v
+        images.append(Polynomial(cur))
+        prev = cur
+    return images
+
+
+def with_lowering(op, q):
+    """``op`` with d/dx and d^2/dx^2 (q None) or D_q and D_q^2 as S and T."""
+    if q is None:
+        return validate_td(op.A, op.B, op.C, S(), T())
+    Sq = q_derivative_op(q)
+    return validate_td(op.A, op.B, op.C, Sq, compose(Sq, Sq))
+
+
+def lowering(shift, label, zero_at):
+    """d/dx (shift 1) or d^2/dx^2 (shift 2), except that d(zero_at) = 0."""
+    d = (lambda k: k) if shift == 1 else (lambda k: k * (k - 1))
+    return DegreeLoweringOperator(shift, lambda k: 0 if k == zero_at else d(k), label=label)
+
+
+def reduced(values):
+    return all(type(v) is F and v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1 for v in values)
 
 
 def alternating_sum_diagonalizer(op, n):
@@ -209,15 +279,12 @@ class TestTridiagonalize:
         for i in (0, 13):
             op = random_strict_operator(rng, i, depth=41)
             if q is not None:
-                S = q_derivative_op(q)
-                op = validate_td(op.A, op.B, op.C, S, compose(S, S))
+                op = with_lowering(op, q)
                 assert all(op.leading_action(k) != 0 for k in range(2, 42))
             tri = tridiagonalize(op, 41)
             ys, An, Bn, Cn = tridiagonalize_by_apply(op, 41)
             assert (list(tri.y), list(tri.An), list(tri.Bn), list(tri.Cn)) == (ys, An, Bn, Cn)
-            values = [c for p in tri.y for c in p.coeffs] + [*tri.An, *tri.Bn, *tri.Cn]
-            assert all(type(v) is F and v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
-                       for v in values)
+            assert reduced([c for p in tri.y for c in p.coeffs] + [*tri.An, *tri.Bn, *tri.Cn])
             tri.verify(op)
 
     def test_first_step_canonical(self):
@@ -279,6 +346,43 @@ class TestTridiagonalize:
             tridiagonalize(op, 6)
         assert str(info.value) == "band relation unsatisfiable at " + message
 
+    def test_vanishing_coefficient_at_or_above_n_max_is_not_read(self):
+        # the construction to n_max forms L x^j for j < n_max only
+        plain = random_strict_operator(random.Random(15), 0, depth=7)
+        op = validate_td(plain.A, plain.B, plain.C, lowering(1, "S", 7), T())
+        tri, want = tridiagonalize(op, 7), tridiagonalize(plain, 7)
+        assert (tri.y, tri.An, tri.Bn, tri.Cn) == (want.y, want.An, want.Bn, want.Cn)
+        assert reconstruct_diagonalizer(op, 7).images == reconstruct_diagonalizer(plain, 7).images
+        Sm = q_derivative_op(-1)  # d(2) = 0
+        tri = tridiagonalize(validate_td(P(0, 0, 0, 1), P(0, 0, 1), P(0, 1), Sm, compose(Sm, Sm)), 2)
+        assert (tri.An, tri.y[2]) == ((1, 2), P(0, 0, 1))
+        with pytest.raises(DegreeLoweringError, match=r"d\(7\) = 0"):
+            tridiagonalize(op, 8)
+
+    @pytest.mark.parametrize("zero_at, error", [
+        (4, TridiagonalizationError), (5, TridiagonalizationError), (3, DegreeLoweringError),
+    ])
+    def test_inconsistent_step_below_a_vanishing_coefficient_fails_first(self, zero_at, error):
+        # the A_3 = 0 case of test_inconsistent_vanishing_leading_raises, with d(zero_at) = 0 in
+        # S: a step-by-step construction fails at step 3 before it reads
+        # d(4) or d(5), and at the start of step 3 on d(3)
+        op = validate_td(P(1, 0, 0, 1), P(), P(0, -6), lowering(1, "S", zero_at), T())
+        with pytest.raises(error) as info:
+            tridiagonalize(op, 6)
+        if error is TridiagonalizationError:
+            assert info.value.index == 3 and str(info.value).endswith("the x^1 equation has nonzero right side 9")
+        else:
+            assert str(info.value) == "S: d(3) = 0 at k >= shift"
+
+    def test_first_degree_that_cannot_be_formed_names_the_error(self):
+        # S fails at degree 4 and T at degree 6: L x^4 fails first, on S,
+        # though the rows of T are read before those of S
+        op = validate_td(P(1, 2, 0, 3), P(0, 1, 1), P(2, 1), lowering(1, "S", 4), lowering(2, "T", 6))
+        for build in (tridiagonalize, reconstruct_diagonalizer):
+            with pytest.raises(DegreeLoweringError) as info:
+                build(op, 8)
+            assert str(info.value) == "S: d(4) = 0 at k >= shift"
+
     def test_json_serialization_shape(self):
         tri = tridiagonalize(cubic_op(), 3)
         d = tri.to_json_dict()
@@ -335,6 +439,7 @@ class TestVerifyIsIndependent:
             raise AssertionError("verify used the construction's monomial action")
 
         monkeypatch.setattr(TDOperator, "_monomial_action", refuse)
+        monkeypatch.setattr(TDOperator, "_integer_bands", refuse)
         tri.verify(op)
 
     def test_agrees_with_the_apply_residual(self):
@@ -526,6 +631,15 @@ class TestReconstruction:
             D = reconstruct_diagonalizer(op, 21)
             for n in range(22):
                 assert D.images[n] == alternating_sum_diagonalizer(op, n)
+
+    @pytest.mark.parametrize("q", [None, F(1, 2), F(2, 3), F(3, 2), F(2)])
+    def test_matches_the_fraction_loop_at_benchmark_size(self, q):
+        rng = random.Random(43 if q is None else int(6 * q) + 1)
+        for i in (1, 14):
+            op = with_lowering(random_strict_operator(rng, i, depth=2), q)
+            D = reconstruct_diagonalizer(op, 41)
+            assert list(D.images) == fraction_diagonalizer(op, 41)
+            assert reduced([c for image in D.images for c in image.coeffs])
 
     def test_float_matches_the_alternating_sum(self):
         rng = random.Random(14)
