@@ -396,6 +396,10 @@ def continuous_polys(model: MorseModel, n_max: int, gamma: float) -> ContinuousP
 def parseval_check(model: MorseModel, n: int, m2: int, rtol: float = 1e-10) -> float:
     """Quadrature value of the continuum orthonormality integral for (n, m2).
 
+    The weight is built once per call (``opfamilies._cdh_weight``: one
+    log-gamma pass per integrand call, its constants formed once), and the
+    continuum kernel rows 0 .. max(n, m2) - 1 are read once as float triples.
+
     Contract: within 1e-8 of the Kronecker delta for indices up to 10
     (slightly looser for the most oscillatory pairs).
     """
@@ -403,10 +407,12 @@ def parseval_check(model: MorseModel, n: int, m2: int, rtol: float = 1e-10) -> f
         raise ValidationError("indices up to 10 are supported")
     kmax = max(n, m2)
     kernel = _continuum_kernel(model)
+    rows = [kernel(k) for k in range(kmax)]
+    weight = opfamilies._cdh_weight(model.b, model.N)
 
     def integrand(g):
         g = np.asarray(g, dtype=float)
-        vals = _recurrence(kernel, g * g, kmax)
-        return vals[n] * vals[m2] * opfamilies.cdh_weight(model.b, model.N, g)
+        vals = _recurrence(rows.__getitem__, g * g, kmax)
+        return vals[n] * vals[m2] * weight(g)
 
     return jacspec.halfline_integrate(integrand, lo=0.0, rtol=rtol, atol=1e-12)

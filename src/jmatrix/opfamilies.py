@@ -550,27 +550,39 @@ def cdh_weight(b, N: int, gamma):
     w(gamma) = |Gamma(b+1/2+ig) Gamma(N-b+1/2+ig) Gamma(b-N+1/2+ig) / Gamma(2ig)|^2
                / (2 pi N! Gamma(2b-N+1)),
     evaluated through complex log-gamma to avoid overflow.  Vectorized over
-    numpy arrays of gamma.
+    numpy arrays of gamma.  This is ``_cdh_weight(b, N)(gamma)``; a caller
+    that evaluates the weight many times for one (b, N) builds that function
+    once and calls it.
 
     Raises:
-        ValidationError: if gamma <= 0 or the parameters are invalid.
+        ValidationError: if gamma is not positive and finite, or b <= N - 1/2.
+    """
+    return _cdh_weight(b, N)(gamma)
+
+
+def _cdh_weight(b, N: int):
+    """The function gamma -> cdh_weight(b, N, gamma), its constants computed once.
+
+    b is checked and the normalization log(2 pi N! Gamma(2b-N+1)) is formed
+    here.  Each call stacks the four log-gamma arguments into one (4, ...)
+    complex array and makes one ``loggamma`` pass over it.
     """
     bf = float(b)
     if bf <= N - 0.5:
         raise ValidationError("requires b > N - 1/2")
-    g = np.asarray(gamma, dtype=float)
-    if np.any(g <= 0):
-        raise ValidationError("gamma must be positive")
     a1, a2, a3 = bf + 0.5, N - bf + 0.5, bf - N + 0.5
-    s = (
-        np.real(loggamma(a1 + 1j * g))
-        + np.real(loggamma(a2 + 1j * g))
-        + np.real(loggamma(a3 + 1j * g))
-        - np.real(loggamma(2j * g))
-    )
     log_norm = math.log(2 * math.pi) + gammaln_real(N + 1.0) + gammaln_real(2 * bf - N + 1.0)
-    out = np.exp(2 * s - log_norm)
-    return out if out.shape else float(out)
+
+    def weight(gamma):
+        g = np.asarray(gamma, dtype=float)
+        if not np.all((g > 0) & np.isfinite(g)):
+            raise ValidationError("gamma must be positive" if np.any(g <= 0) else "gamma must be finite")
+        ig = 1j * g
+        r = loggamma(np.stack((a1 + ig, a2 + ig, a3 + ig, ig + ig))).real
+        out = np.exp(2 * (r[0] + r[1] + r[2] - r[3]) - log_norm)
+        return out if out.shape else float(out)
+
+    return weight
 
 
 def dual_hahn_argument(x, gamma, delta):

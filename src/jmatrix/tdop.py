@@ -237,7 +237,8 @@ class Tridiagonalization:
         K of den D_n and the scalar-times-row denominators is an identity of
         integer rows, each row scaled by one integer known to be exact.
         """
-        action = _IntegerAction(op, max(len(p._num) for p in self.y))
+        # L is applied to y_0 .. y_{n_max - 1} only, so d(k) is read for k < n_max.
+        action = _IntegerAction(op, max((len(p._num) for p in self.y[: self.n_max]), default=0))
         prev, cur = None, (self.y[0]._num, self.y[0]._den)  # (Y_n, D_n), one row at a time
         for n in range(self.n_max):
             nxt = (self.y[n + 1]._num, self.y[n + 1]._den)

@@ -39,6 +39,8 @@ CASES = {
     "verify_two": ["verify", "--suite", "quadrature", "morse-expansion"],
     "morse_residual": ["morse", "--b", "9/4", "--residual", "8"],
     "morse_parseval_3_7": ["morse", "--b", "19/5", "--parseval", "3", "7"],
+    "morse_parseval_deepest": ["morse", "--b", "17/3", "--parseval", "10", "10"],
+    "morse_parseval_one_bound_state": ["morse", "--b", "4/5", "--parseval", "0", "9"],
     "morse_bands_19_5": [
         "morse", "--b", "19/5", "--levels", "--tridiag", "12", "--residual", "6", "--identity", "1"
     ],

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jmatrix import jacspec
+from jmatrix import jacspec, morse
 from jmatrix.errors import ValidationError
 from jmatrix.jacspec import JacobiOperator
 from jmatrix.morse import (
@@ -24,6 +24,7 @@ from jmatrix.morse import (
 )
 from jmatrix.polycore import Mode, Polynomial
 from jmatrix.tdop import tridiagonalize
+from test_opfamilies import four_call_cdh_weight, hexes
 
 F = Fraction
 
@@ -302,6 +303,20 @@ class TestContinuum:
         assert abs(parseval_check(model, 0, 0) - 1.0) <= 1e-8
         assert abs(parseval_check(model, 0, 1)) <= 1e-8
         assert abs(parseval_check(model, 5, 5) - 1.0) <= 1e-7
+
+    @pytest.mark.parametrize("b, n, m", [(F(4, 5), 0, 0), (F(13, 5), 0, 2), (F(17, 3), 10, 10)])
+    def test_parseval_matches_the_per_call_integrand_bit_for_bit(self, b, n, m):
+        # the oracle reads the kernel and builds the weight inside every integrand call
+        model = build_morse_model(b)
+        kernel = morse._continuum_kernel(model)
+
+        def integrand(g):
+            g = np.asarray(g, dtype=float)
+            vals = jacspec._recurrence(kernel, g * g, max(n, m))
+            return vals[n] * vals[m] * four_call_cdh_weight(model.b, model.N, g)
+
+        want = jacspec.halfline_integrate(integrand, lo=0.0, rtol=1e-10, atol=1e-12)
+        assert hexes([parseval_check(model, n, m)]) == hexes([want])
 
     def test_parseval_range_guard(self):
         with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from jmatrix import jacspec, opfamilies
 from jmatrix.errors import ValidationError
+from jmatrix.gammafn import gammaln_real, loggamma
 from jmatrix.opfamilies import (
     Family,
     FamilyKind,
@@ -28,6 +30,27 @@ from jmatrix.opfamilies import (
 from jmatrix.polycore import Mode, Polynomial
 
 F = Fraction
+
+
+def four_call_cdh_weight(b, N, gamma):
+    """The weight as four separate log-gamma calls and a per-call constant:
+    the oracle that the one-pass ``cdh_weight`` must match bit for bit."""
+    bf = float(b)
+    g = np.asarray(gamma, dtype=float)
+    a1, a2, a3 = bf + 0.5, N - bf + 0.5, bf - N + 0.5
+    s = (
+        np.real(loggamma(a1 + 1j * g))
+        + np.real(loggamma(a2 + 1j * g))
+        + np.real(loggamma(a3 + 1j * g))
+        - np.real(loggamma(2j * g))
+    )
+    log_norm = math.log(2 * math.pi) + gammaln_real(N + 1.0) + gammaln_real(2 * bf - N + 1.0)
+    out = np.exp(2 * s - log_norm)
+    return out if out.shape else float(out)
+
+
+def hexes(values):
+    return [float.hex(float(v)) for v in np.ravel(values)]
 
 
 class TestClosedForms:
@@ -358,6 +381,49 @@ class TestContinuousDualHahnWeight:
     def test_gamma_positive_required(self):
         with pytest.raises(ValidationError):
             cdh_weight(2.25, 2, 0.0)
+
+    # N = 1 and b just above N - 1/2 included; (4/5, 1) and (17/3, 6) are benchmark models
+    WEIGHT_CASES = [(2.25, 2), (F(4, 5), 1), (0.5 + 1e-9, 1), (3.5 + 1e-7, 4), (F(17, 3), 6), (10.3, 10)]
+    GRID = np.concatenate([np.linspace(1e-3, 50.0, 301), np.geomspace(1e-3, 50.0, 257)])
+
+    @pytest.mark.parametrize("b, N", WEIGHT_CASES)
+    def test_one_pass_matches_four_calls_bit_for_bit(self, b, N):
+        assert hexes(cdh_weight(b, N, self.GRID)) == hexes(four_call_cdh_weight(b, N, self.GRID))
+        panels = self.GRID[:256].reshape(16, 16)  # a 2-D gamma keeps its shape
+        got = cdh_weight(b, N, panels)
+        assert got.shape == panels.shape
+        assert hexes(got) == hexes(four_call_cdh_weight(b, N, panels))
+
+    @pytest.mark.parametrize("b, N", WEIGHT_CASES)
+    def test_scalar_is_the_one_point_array(self, b, N):
+        # a scalar gamma takes the array path: bit for bit the oracle on a
+        # one-point array.  numpy's scalar complex arithmetic rounds apart
+        # from its array loops, so the oracle at a scalar differs in the last
+        # bits, within the log-gamma accuracy.
+        for g in self.GRID[::23]:
+            got = cdh_weight(b, N, float(g))
+            assert type(got) is float
+            assert float.hex(got) == hexes(four_call_cdh_weight(b, N, np.array([g])))[0]
+            assert abs(got - four_call_cdh_weight(b, N, float(g))) <= 1e-12 * got
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, np.array([1.0, math.nan]), np.array([math.inf, 2.0])])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^gamma must be finite$"):
+                cdh_weight(2.25, 2, gamma)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, -math.inf, np.array([1.0, 0.0, math.nan])])
+    def test_non_positive_gamma_message_kept(self, gamma):
+        with pytest.raises(ValidationError, match="^gamma must be positive$"):
+            cdh_weight(2.25, 2, gamma)
+
+    def test_b_checked_when_the_weight_is_built(self):
+        for b, N in [(1.5, 2), (F(3, 2), 2), (0.4, 1)]:
+            with pytest.raises(ValidationError, match=r"^requires b > N - 1/2$"):
+                cdh_weight(b, N, 1.0)
+            with pytest.raises(ValidationError, match=r"^requires b > N - 1/2$"):
+                opfamilies._cdh_weight(b, N)
 
 
 class TestFamilyValidation:

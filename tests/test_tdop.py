@@ -354,8 +354,13 @@ class TestTridiagonalize:
         assert (tri.y, tri.An, tri.Bn, tri.Cn) == (want.y, want.An, want.Bn, want.Cn)
         assert reconstruct_diagonalizer(op, 7).images == reconstruct_diagonalizer(plain, 7).images
         Sm = q_derivative_op(-1)  # d(2) = 0
-        tri = tridiagonalize(validate_td(P(0, 0, 0, 1), P(0, 0, 1), P(0, 1), Sm, compose(Sm, Sm)), 2)
+        qop = validate_td(P(0, 0, 0, 1), P(0, 0, 1), P(0, 1), Sm, compose(Sm, Sm))
+        tri = tridiagonalize(qop, 2)
         assert (tri.An, tri.y[2]) == ((1, 2), P(0, 0, 1))
+        tri.verify(qop)  # L is applied to y_0 and y_1 only: verify reads d(0), d(1) too
+        with pytest.raises(DegreeLoweringError) as info:
+            tridiagonalize(qop, 3)
+        assert str(info.value) == "D_q[q=-1]: d(2) = 0 at k >= shift"
         with pytest.raises(DegreeLoweringError, match=r"d\(7\) = 0"):
             tridiagonalize(op, 8)
 
