@@ -50,8 +50,8 @@ DEFAULT_TOLERANCES = {"quad_rtol": 1e-10, "residual_tol": 1e-9}
 # for a 15 MB report); exact `families --eval` to n = 3000 is one
 # recurrence pass of about 2 s, and 3000 is the closed-pipe test's size;
 # `families --bochner` checks the ODE degree by degree in O(n^3), 3 s at
-# n = 300 and 18 s at n = 600; exact `morse --identity` takes about 1 s at
-# N = 64 and 10 s at N = 128, nearly all of it in the dual Hahn column.
+# n = 300 and 18 s at n = 600; exact `morse --identity` takes about 0.2 s at
+# N = 64 and 2.5 s at N = 128, nearly all of it in the Laguerre sum.
 QUAD_MAX_N = 1000
 TRIDIAG_MAX_N = 200
 FAMILIES_MAX_N = 3000
@@ -195,6 +195,10 @@ def _cmd_morse(args) -> int:
         }
     if args.identity is not None:
         r = morse.expansion_identity(model, args.identity)
+        if r.rounding_bound > args.residual_tol:
+            raise ValidationError(
+                f"--identity {args.identity} at N = {model.N}: float rounding alone can reach {r.rounding_bound:.3e} "
+                f"> --residual-tol {args.residual_tol:g}; give b as a rational in exact mode for the exact identity")
         report["results"]["expansion_identity"] = {
             "level": args.identity,
             "C": r.C,

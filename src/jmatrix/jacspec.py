@@ -1,7 +1,7 @@
 """Jacobi-operator analytics.
 
-Invariant-block detection along the off-diagonal, a self-contained
-implicit-shift QL eigensolver for symmetric tridiagonal blocks, forward
+Invariant-block detection along the off-diagonal, eigenpairs of finite
+blocks (LAPACK), an implicit-shift QL for the Gauss rules, forward
 evaluation of the associated recurrence polynomials, Gauss quadrature by
 the Golub-Welsch construction, adaptive integration helpers, and the
 boundedness heuristic used as a self-adjointness diagnostic.
@@ -120,8 +120,8 @@ class SpectrumResult:
     def to_json_dict(self) -> dict:
         return {
             "block": [self.block[0], self.block[1]],
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "vectors": [[float(v) for v in self.eigenvectors[:, j]] for j in range(self.eigenvalues.size)],
+            "eigenvalues": self.eigenvalues.tolist(),
+            "vectors": self.eigenvectors.T.tolist(),
         }
 
 
@@ -161,51 +161,41 @@ def split_blocks(J: JacobiOperator, scan_to: int, tol: float = 1e-12) -> BlockDe
     )
 
 
-def symmetric_tridiagonal_eig(diag: Sequence[float], off: Sequence[float], vectors: str = "all"):
-    """Implicit-shift QL eigendecomposition of a symmetric tridiagonal matrix.
+def symmetric_tridiagonal_eig(diag: Sequence[float], off: Sequence[float]):
+    """Eigenvalues and first eigenvector components of a symmetric tridiagonal matrix.
 
-    One QL loop serves two kinds of caller, which differ only in what each
-    Givens rotation updates.  ``vectors="all"`` rotates two eigenvector
-    rows of an n-by-n array, O(n) work per rotation and O(n^3) in all, for
-    callers that need whole eigenvectors.  ``vectors="first"`` rotates two
-    of the n first eigenvector components, held as Python floats, O(1) per
-    rotation and O(n^2) in all: that is all a Gauss rule needs (Golub and
-    Welsch, Math. Comp. 23, 1969).  The rotations and their order do not
-    depend on ``vectors``, so both give the same eigenvalues bit for bit.
+    Implicit-shift QL that rotates only the n first eigenvector components,
+    held as Python floats: O(1) work per Givens rotation and O(n^2) in all.
+    That is all a Gauss rule needs (Golub and Welsch, Math. Comp. 23, 1969),
+    and unlike a dense solver it keeps the smallest weights accurate.
 
     Args:
         diag: diagonal entries, length n, finite.
         off: subdiagonal entries, length n - 1, finite.
-        vectors: "all" or "first".
 
     Returns:
-        (w, V): ascending eigenvalues and, for "all", the orthogonal matrix
-        whose columns are the corresponding eigenvectors; for "first", the
-        first row of that matrix.
+        (w, first): ascending eigenvalues and the first components of the
+        corresponding orthonormal eigenvectors.
 
     Raises:
-        ValidationError: if ``off`` does not have length n - 1, an entry is
-            not finite, or ``vectors`` is unknown.
+        ValidationError: if ``off`` does not have length n - 1 or an entry
+            is not finite.
         ConvergenceError: if the sweep budget (30 * n) is exhausted, which
             signals pathological input.  It carries the index being
             deflated (``index``), ``sweeps`` against ``budget``, and the
             off-diagonal magnitude |e[index]| that failed to vanish
             (``off_diagonal``).
     """
-    if vectors not in ("all", "first"):
-        raise ValidationError(f"vectors must be 'all' or 'first', got {vectors!r}")
     n = len(diag)
     if n == 0:
-        return np.empty(0), np.empty((0, 0) if vectors == "all" else 0)
+        return np.empty(0), np.empty(0)
     if len(off) != n - 1:
         raise ValidationError(f"off-diagonal must have length n - 1 = {n - 1}, got {len(off)}")
     d = [float(v) for v in diag]
     e = [float(v) for v in off] + [0.0]
     if not all(map(math.isfinite, d + e)):
         raise ValidationError("diagonal and off-diagonal entries must be finite")
-    # Z[j] is what rotations update for eigenvector j: the whole vector
-    # (row j of an array) or its first component (a float).
-    Z = np.eye(n) if vectors == "all" else [1.0] + [0.0] * (n - 1)
+    Z = [1.0] + [0.0] * (n - 1)  # Z[j]: first component of eigenvector j
     budget = _QL_SWEEPS_PER_ROW * n
     sweeps = 0
     for l in range(n):
@@ -254,16 +244,14 @@ def symmetric_tridiagonal_eig(diag: Sequence[float], off: Sequence[float], vecto
                 e[l] = g
                 e[m] = 0.0
     order = np.argsort(d, kind="stable")
-    w = np.array(d)[order]
-    if vectors == "first":
-        return w, np.array(Z)[order]
-    return w, Z[order].T
+    return np.array(d)[order], np.array(Z)[order]
 
 
 def eig_block(J: JacobiOperator, block: tuple[int, int]) -> SpectrumResult:
     """Full eigendecomposition of the symmetric tridiagonal block (start, stop).
 
-    Postconditions are asserted: strictly increasing eigenvalues (minimum
+    LAPACK (``numpy.linalg.eigh``) of the dense block; a non-finite entry is
+    a ValidationError.  Asserted: strictly increasing eigenvalues (minimum
     gap above 1e-12 of the spectral scale) and orthonormal eigenvectors to
     1e-10.  Eigenvector signs are canonicalized so the largest-magnitude
     component of each column is positive.
@@ -272,19 +260,18 @@ def eig_block(J: JacobiOperator, block: tuple[int, int]) -> SpectrumResult:
     dim = stop - start
     if dim <= 0:
         return SpectrumResult(np.empty(0), np.empty((0, 0)), block)
-    d = [float(J.b_at(start + i)) for i in range(dim)]
-    e = [float(J.a_at(start + i)) for i in range(dim - 1)]
-    w, V = symmetric_tridiagonal_eig(d, e)
-    scale = max(1.0, float(np.max(np.abs(w))) if dim else 1.0)
+    rows = range(start, stop)
+    T = np.diag([float(J.b_at(i)) for i in rows]) + np.diag([float(J.a_at(i)) for i in rows[:-1]], -1)
+    if not np.isfinite(T).all():
+        raise ValidationError("diagonal and off-diagonal entries must be finite")
+    w, V = np.linalg.eigh(T)  # reads the lower triangle only
+    scale = max(1.0, float(np.max(np.abs(w))))
     if dim > 1 and np.min(np.diff(w)) <= 1e-12 * scale:
         raise InternalConsistencyError("block spectrum not simple within tolerance")
     gram = V.T @ V - np.eye(dim)
     if np.max(np.abs(gram)) > 1e-10:
         raise InternalConsistencyError("eigenvector matrix failed orthonormality check")
-    for j in range(dim):
-        k = int(np.argmax(np.abs(V[:, j])))
-        if V[k, j] < 0:
-            V[:, j] = -V[:, j]
+    V[:, V[np.argmax(np.abs(V), axis=0), np.arange(dim)] < 0] *= -1.0
     return SpectrumResult(w, V, block)
 
 
@@ -401,7 +388,7 @@ def golub_welsch(J: JacobiOperator, n: int, total_mass: float) -> QuadratureRule
     Nodes are the truncation's eigenvalues; the weight at node i is
     total_mass times the squared first component of its eigenvector.  The
     QL solver rotates only those first components, so a rule costs O(n^2)
-    work where full eigenvectors would cost O(n^3).
+    work; dense LAPACK, whose components err by about eps, loses small weights.
     """
     if n < 1:
         raise ValidationError("rule size must be at least 1")
@@ -409,7 +396,7 @@ def golub_welsch(J: JacobiOperator, n: int, total_mass: float) -> QuadratureRule
     e = [float(J.a_at(i)) for i in range(n - 1)]
     if any(v <= 0 for v in e):
         raise ValidationError("Golub-Welsch requires positive off-diagonal entries")
-    w, first = symmetric_tridiagonal_eig(d, e, vectors="first")
+    w, first = symmetric_tridiagonal_eig(d, e)
     weights = total_mass * first ** 2
     return QuadratureRule(nodes=w, weights=weights, total_mass=float(total_mass))
 

@@ -232,7 +232,7 @@ def even_spectrum(model: LameModel) -> LameEvenSpectrum:
     # (which enters the diagonal only): at i = 0 it is
     # (2+m)(m-1)m(m+1)/32 > 0 for m = 2k >= 2, and for 1 <= i < k both
     # factors, (2i+2+m)(2i+1-m)/8 and (2i-m)(2i+m+1)/8, are negative.  So the
-    # matrix is diagonally similar to a symmetric one and the QL solver applies.
+    # matrix is diagonally similar to a symmetric one and eig_block applies.
     off = [math.sqrt(lower[i + 1] * upper[i]) for i in range(k)]
     solved = jacspec.eig_block(JacobiOperator.from_sequences(off, diag[: k + 1]), (0, k + 1))
     eigs = solved.eigenvalues

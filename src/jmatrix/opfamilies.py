@@ -234,7 +234,7 @@ def _check_bessel(f: Family, n: int) -> None:
 def _generate(f: Family, n: int, mode: Mode) -> Polynomial:
     k = f.kind
     params = tuple(to_mode(v, mode) for v in f.params)
-    if k in (FamilyKind.HERMITE, FamilyKind.CHEBYSHEV_T):
+    if k in (FamilyKind.HERMITE, FamilyKind.CHEBYSHEV_T, FamilyKind.DUAL_HAHN):
         return _poly_by_recurrence(n, mode, _typed_coeffs(f, mode))
     if k is FamilyKind.MONOMIAL:
         return Polynomial.monomial(n, mode=mode)
@@ -246,8 +246,6 @@ def _generate(f: Family, n: int, mode: Mode) -> Polynomial:
             raise ValidationError(
                 f"{k.value.capitalize()} coefficients of {f.spec_string()} leave the float range"
             ) from None
-    if k is FamilyKind.DUAL_HAHN:
-        return _poly_dual_hahn(params[0], params[1], int(f.params[2]), n, mode)
     if k is FamilyKind.CONTINUOUS_DUAL_HAHN:
         return _poly_cdh(*params, n, mode)
     raise ValidationError(f"unsupported family {k}")
@@ -297,19 +295,6 @@ def _poly_bessel(a, b, n, mode):
         num = to_mode(math.factorial(n) // math.factorial(n - j), mode) * pochhammer(a + n - 1, j)
         coeffs.append(num / (to_mode(math.factorial(j), mode) * b**j))
     return Polynomial(coeffs, mode)
-
-
-def _poly_dual_hahn(g, d, N, n, mode):
-    # Newton-type sum: coefficients attach to products of (i(g+d+1+i) - lam).
-    lam = Polynomial.x(mode)
-    acc = Polynomial.one(mode)
-    prod = Polynomial.one(mode)
-    coef = to_mode(1, mode)
-    for j in range(n):
-        prod = prod * (Polynomial((j * (g + d + 1 + j),), mode) - lam)
-        coef = coef * (-(n - j)) / ((g + 1 + j) * (-N + j) * (j + 1))
-        acc = acc + prod * coef
-    return acc
 
 
 def _poly_cdh(a, b, c, n, mode):
@@ -591,10 +576,8 @@ def dual_hahn_argument(x, gamma, delta):
 
 
 def dual_hahn_value(n: int, x: int, gamma, delta, N: int):
-    """R_n(lambda(x)) for the dual Hahn family, by the terminating series."""
-    f = Family.dual_hahn(gamma, delta, N)
-    lam = dual_hahn_argument(x, gamma, delta)
-    return family_polynomial(f, n)(lam)
+    """R_n(lambda(x)) for the dual Hahn family, by its three-term recurrence."""
+    return eval_family(Family.dual_hahn(gamma, delta, N), n, dual_hahn_argument(x, gamma, delta))
 
 
 def dual_hahn_weight(x: int, gamma, delta, N: int):

@@ -28,6 +28,7 @@ __all__ = [
     "validate_td",
     "Tridiagonalization",
     "TridiagonalizationError",
+    "VerifyToleranceError",
     "tridiagonalize",
     "MomentInnerProduct",
     "InnerProductError",
@@ -52,9 +53,17 @@ class TridiagonalizationError(JMatrixError):
     construction then needs non-canonical choices at earlier steps.
     """
 
+    _what = "band relation unsatisfiable at index {} with canonical choices."
+
     def __init__(self, index: int, detail: str = ""):
         self.index = index
-        super().__init__(f"band relation unsatisfiable at index {index} with canonical choices. {detail}")
+        super().__init__(f"{self._what.format(index)} {detail}")
+
+
+class VerifyToleranceError(TridiagonalizationError):
+    """FLOAT verify: a relation's residual, relative to its terms, exceeds the tolerance."""
+
+    _what = "band relation at index {} exceeds the verify tolerance:"
 
 
 class InnerProductError(ValidationError):
@@ -219,7 +228,9 @@ class Tridiagonalization:
         identity of integer rows, with L applied by :class:`_IntegerAction`
         (A T + B S + C from the coefficients of S and T), which shares no
         code with the construction.  FLOAT: the residual through ``op.apply``
-        must stay within ``tol`` in every coefficient.
+        must stay within ``tol`` times the size of the terms that cancel in it,
+        |A_n| |y_{n+1}| + |B_n| |y_n| + |C_n| |y_{n-1}| with |y| the largest
+        coefficient, else a VerifyToleranceError is raised.
         """
         if self.mode is Mode.EXACT:
             self._verify_exact(op)
@@ -227,8 +238,12 @@ class Tridiagonalization:
         for n in range(self.n_max):
             res = self.relation_residual(op, n)
             worst = max((abs(c) for c in res.coeffs), default=0.0)
-            if worst > tol:
-                raise TridiagonalizationError(n, f"residual {worst:.3e} > {tol}")
+            terms = [(self.An[n], self.y[n + 1]), (self.Bn[n], self.y[n])]
+            if n >= 1:
+                terms.append((self.Cn[n], self.y[n - 1]))
+            scale = sum(abs(v) * max(map(abs, p.coeffs), default=0.0) for v, p in terms)
+            if worst > tol * scale:
+                raise VerifyToleranceError(n, f"residual {worst:.3e} > {tol} times {scale:.3e}, the size of its terms")
 
     def _verify_exact(self, op: TDOperator) -> None:
         """L y_n = A_n y_{n+1} + B_n y_n + C_n y_{n-1} as integer rows.

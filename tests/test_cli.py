@@ -54,12 +54,23 @@ class TestMorseCommand:
         assert err.startswith("usage error:") and "finite" in err and err.count("\n") == 1
 
     def test_large_b_levels(self, capsys):
-        # energies of size 2.5e5: the eigensolve is 3.2e-10 from the closed
-        # form, within 1e-10 relative; b = 999.25 is the same at eight times the cost
+        # energies of size 2.5e5, a 499-by-499 block; the in-process
+        # test_largest_model_passes takes N = 1000, whose report is 4 times larger
         status, report = run_json(capsys, ["morse", "--b", "499.25", "--levels"])
         assert status == 0
         eigs = report["results"]["bound_states"]["eigenvalues"]
         assert len(eigs) == 499 and abs(eigs[0] + 498.75**2) <= 1e-10 * 498.75**2
+
+    def test_float_identity_beyond_its_rounding_is_an_error(self, capsys):
+        assert main(["--mode", "float", "morse", "--b", "129/4", "--identity", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: --identity 3 at N = 32:") and "rational" in err
+
+    def test_float_identity_within_its_rounding(self, capsys):
+        status, report = run_json(capsys, ["--mode", "float", "morse", "--b", "65/4", "--identity", "3"])
+        ident = report["results"]["expansion_identity"]
+        assert status == 0 and not ident["exact"] and ident["max_residual"] <= 1e-9
 
     def test_huge_exponent_is_usage_error(self, capsys):
         assert main(["morse", "--b", "1e-100000000", "--levels"]) == 1

@@ -146,6 +146,8 @@ def reject_constant(name):
         ["families", "--family", "jacobi:0,0", "--n", "-1", "--eval", "1/2"],
         # --grid without the --residual it sets the samples of
         ["morse", "--b", "9/4", "--grid", "1,2"],
+        # a float identity whose rounding alone exceeds --residual-tol
+        ["--mode", "float", "morse", "--b", "129/4", "--identity", "3"],
     ],
 )
 def test_found_cases_exit_1_with_one_line(capsys, argv):

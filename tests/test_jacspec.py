@@ -28,6 +28,64 @@ def const_op(a_seq, b_seq):
     return JacobiOperator.from_sequences(a_seq, b_seq)
 
 
+def full_vector_ql(diag, off):
+    """The oracle: implicit-shift QL that rotates whole eigenvectors, O(n^3).
+
+    Its rotations are those of ``symmetric_tridiagonal_eig``, applied to
+    two rows of an n-by-n array instead of two first components.  Returns
+    ascending eigenvalues and the eigenvectors as columns.
+    """
+    n = len(diag)
+    d = [float(v) for v in diag]
+    e = [float(v) for v in off] + [0.0]
+    Z = np.eye(n)
+    eps = float(np.finfo(float).eps)
+    for l in range(n):
+        for _ in range(30 * n):
+            m = l
+            while m < n - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            underflow = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                bb = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    underflow = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * bb
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - bb
+                Z[i + 1], Z[i] = s * Z[i] + c * Z[i + 1], c * Z[i] - s * Z[i + 1]
+            if not underflow:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+        else:
+            raise AssertionError("oracle QL did not converge")
+    order = np.argsort(d, kind="stable")
+    return np.array(d)[order], Z[order].T
+
+
+def block_bands(J, block):
+    start, stop = block
+    return ([float(J.b_at(i)) for i in range(start, stop)], [float(J.a_at(i)) for i in range(start, stop - 1)])
+
+
 class TestSplitBlocks:
     def test_simple_zero(self):
         J = const_op([1.0, 0.0, 1.0, 1.0, 1.0], [0.0] * 6)
@@ -90,16 +148,18 @@ class TestEigBlock:
         assert np.allclose(r.eigenvalues, [-3.0625, -0.5625], atol=1e-12)
 
     def test_random_blocks_match_dense_oracle(self):
+        # the QL oracle and the first-component QL against LAPACK
         rng = random.Random(31)
         for _ in range(12):
             n = 8
             d = [rng.uniform(-3, 3) for _ in range(n)]
             e = [rng.uniform(0.2, 2.0) for _ in range(n - 1)]
-            w, V = symmetric_tridiagonal_eig(d, e)
+            w, V = full_vector_ql(d, e)
             M = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
             w_ref = np.linalg.eigh(M)[0]
             assert np.max(np.abs(w - w_ref)) <= 1e-11 * max(1.0, np.max(np.abs(w_ref)))
             assert np.max(np.abs(M @ V - V @ np.diag(w))) <= 1e-10
+            assert np.array_equal(symmetric_tridiagonal_eig(d, e)[0], w)
 
     def test_sign_flip_similarity_invariance(self):
         rng = random.Random(13)
@@ -124,15 +184,11 @@ class TestEigInputs:
         with pytest.raises(ValidationError, match="finite"):
             symmetric_tridiagonal_eig(diag, off)
 
-    def test_unknown_vectors_mode(self):
-        with pytest.raises(ValidationError, match="vectors"):
-            symmetric_tridiagonal_eig([1.0, 2.0], [1.0], vectors="last")
-
     def test_empty(self):
-        w, V = symmetric_tridiagonal_eig([], [])
-        assert w.shape == (0,) and V.shape == (0, 0)
-        w, first = symmetric_tridiagonal_eig([], [], vectors="first")
+        w, first = symmetric_tridiagonal_eig([], [])
         assert w.shape == (0,) and first.shape == (0,)
+        r = eig_block(const_op([], []), (0, 0))
+        assert r.eigenvalues.shape == (0,) and r.eigenvectors.shape == (0, 0)
 
     def test_convergence_error_carries_state(self, monkeypatch):
         monkeypatch.setattr(jacspec, "_QL_SWEEPS_PER_ROW", 0)
@@ -141,6 +197,62 @@ class TestEigInputs:
         err = info.value
         assert err.state == {"index": 0, "sweeps": 0, "budget": 0, "off_diagonal": 0.5}
         assert (err.index, err.sweeps, err.budget, err.off_diagonal) == (0, 0, 0, 0.5)
+
+
+def assert_matches_oracle(J, block):
+    """eig_block against the QL oracle: eigenvalues within 1e-12 max(1, ||T||),
+    each eigenvector with |cos| >= 1 - 1e-12."""
+    r = eig_block(J, block)
+    d, e = block_bands(J, block)
+    w, V = full_vector_ql(d, e)
+    norm_t = max(abs(x) + abs(a) + abs(b) for x, a, b in zip(d, [0.0] + e, e + [0.0]))
+    assert np.max(np.abs(r.eigenvalues - w)) <= 1e-12 * max(1.0, norm_t)
+    cos = np.abs(np.sum(r.eigenvectors * V, axis=0)) / (
+        np.linalg.norm(r.eigenvectors, axis=0) * np.linalg.norm(V, axis=0)
+    )
+    assert np.min(cos) >= 1.0 - 1e-12
+    return r
+
+
+class TestEigBlockAgainstQL:
+    def test_random_blocks(self):
+        rng = random.Random(47)
+        for _ in range(30):
+            n = rng.randint(1, 60)
+            d = [rng.uniform(-5, 5) for _ in range(n)]
+            e = [rng.choice((-1, 1)) * rng.uniform(0.1, 3.0) for _ in range(n - 1)]
+            r = assert_matches_oracle(const_op(e, d), (0, n))
+            V = r.eigenvectors
+            top = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
+            assert np.all(top > 0)  # signs canonicalized
+
+    @pytest.mark.parametrize("b", ["9/4", "19/5", "1997/4"])
+    def test_morse_bound_blocks(self, b):
+        from jmatrix.morse import build_morse_model, morse_jacobi_operator
+
+        model = build_morse_model(b)
+        assert_matches_oracle(morse_jacobi_operator(model), (0, model.N))
+
+    def test_lame_blocks_of_the_verify_suite(self, monkeypatch):
+        from jmatrix import lame
+
+        blocks = []
+        solve = jacspec.eig_block
+        monkeypatch.setattr(jacspec, "eig_block", lambda J, block: blocks.append((J, block)) or solve(J, block))
+        for es in ((3, -1, -2), (5, -2, -3), (1, -1, 0)):  # those of lame-even-spectra
+            for k in range(7):
+                lame.even_spectrum(lame.build_lame_model(*es, 2 * k))
+        assert len(blocks) == 21
+        for J, block in blocks:
+            assert_matches_oracle(J, block)
+
+    @pytest.mark.parametrize(
+        "diag, off",
+        [([math.nan, 2.0], [1.0]), ([1.0, math.inf], [1.0]), ([1.0, 2.0], [-math.inf]), ([1.0, 2.0], [math.nan])],
+    )
+    def test_non_finite_rejected(self, diag, off):
+        with pytest.raises(ValidationError, match="finite"):
+            eig_block(const_op(off, diag), (0, 2))
 
 
 class TestEvalPn:
@@ -244,12 +356,11 @@ class TestGolubWelsch:
     )
     def test_first_row_path_matches_full_vectors(self, family, n):
         # the rule rotates only first components; the rotations are the
-        # same as in the full-vector solve, so the results agree bit for bit
+        # same as in the full-vector oracle, so the results agree bit for bit
         J, mass = family_jacobi_operator(family)
-        d = [float(J.b_at(i)) for i in range(n)]
-        e = [float(J.a_at(i)) for i in range(n - 1)]
-        w, V = symmetric_tridiagonal_eig(d, e)
-        w_first, first = symmetric_tridiagonal_eig(d, e, vectors="first")
+        d, e = block_bands(J, (0, n))
+        w, V = full_vector_ql(d, e)
+        w_first, first = symmetric_tridiagonal_eig(d, e)
         assert np.array_equal(w_first, w) and np.array_equal(first, V[0])
         if family.kind is FamilyKind.LAGUERRE and n == 256:
             return  # its smallest weights underflow to 0, so there is no rule

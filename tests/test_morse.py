@@ -24,7 +24,7 @@ from jmatrix.morse import (
 )
 from jmatrix.polycore import Mode, Polynomial
 from jmatrix.tdop import tridiagonalize
-from test_opfamilies import four_call_cdh_weight, hexes
+from test_opfamilies import four_call_cdh_weight, hexes, series_dual_hahn
 
 F = Fraction
 
@@ -143,6 +143,11 @@ class TestBoundStates:
         r = bound_states(model)
         for got, want in zip(r.eigenvalues, bound_state_energies(model)):
             assert abs(got - want) <= 1e-10
+
+    def test_largest_model_passes(self):
+        # N = 1000, the largest N the model accepts; raises on a miss of the closed form
+        r = bound_states(build_morse_model("3999/4"))
+        assert r.eigenvalues.size == 1000
 
     def test_block_boundary_found_by_scan(self):
         model = build_morse_model("19/5")
@@ -270,6 +275,26 @@ class TestExpansionIdentity:
         model = build_morse_model(2.25)
         r = expansion_identity(model, 0)
         assert not r.exact and r.max_residual <= 1e-10
+
+    def test_column_is_the_series(self):
+        for b in ("9/4", "19/5", "49/4"):
+            model = build_morse_model(b)
+            N, alpha = model.N, 2 * model.b_exact - 2 * model.N
+            for lvl in range(N):
+                want = [series_dual_hahn(n, N - 1 - lvl, alpha, 0, N - 1) for n in range(N)]
+                assert morse._dual_hahn_column(model, lvl, alpha, F(1)) == want
+
+    def test_rounding_bound(self):
+        assert expansion_identity(build_morse_model("19/5"), 1).rounding_bound == 0.0
+        assert expansion_identity(build_morse_model(16.25), 3).rounding_bound <= 1e-9
+        assert expansion_identity(build_morse_model(32.25), 3).rounding_bound > 1e-9
+
+    @pytest.mark.parametrize("b", [3.8, 8.25, 16.25, 24.25])
+    def test_float_residual_within_its_rounding_bound(self, b):
+        model = build_morse_model(b)
+        for lvl in range(model.N):
+            r = expansion_identity(model, lvl)
+            assert r.max_residual <= r.rounding_bound
 
 
 class TestContinuum:

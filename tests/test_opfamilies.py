@@ -114,10 +114,10 @@ class TestRecurrences:
             top = 3 if f.kind is FamilyKind.DUAL_HAHN else 6
             for n in range(top):
                 u, v, w = recurrence_coeffs(f, n)
-                x_phi = Polynomial.x() * family_polynomial(f, n)
-                rhs = family_polynomial(f, n + 1) * u + family_polynomial(f, n) * v
+                x_phi = Polynomial.x() * generated(f, n)
+                rhs = generated(f, n + 1) * u + generated(f, n) * v
                 if n:
-                    rhs = rhs + family_polynomial(f, n - 1) * w
+                    rhs = rhs + generated(f, n - 1) * w
                 assert (x_phi - rhs).is_zero()
 
     def test_dual_hahn_truncates(self):
@@ -128,19 +128,41 @@ class TestRecurrences:
             family_polynomial(f, 2)
 
 
+def series_dual_hahn_polynomial(g, d, N, n):
+    """The oracle: R_n(lambda; g, d, N) as a polynomial in lambda, from the
+    Newton-type sum of its terminating series over products of (j(g+d+1+j) - lambda)."""
+    lam = Polynomial.x()
+    acc = prod = Polynomial.one()
+    coef = F(1)
+    for j in range(n):
+        prod = prod * (Polynomial((j * (g + d + 1 + j),)) - lam)
+        coef = coef * (-(n - j)) / ((g + 1 + j) * (-N + j) * (j + 1))
+        acc = acc + prod * coef
+    return acc
+
+
+def generated(f, n):
+    """The family's degree-n polynomial from a route independent of its
+    recurrence: the series oracle for dual Hahn (whose family_polynomial
+    runs the recurrence), family_polynomial otherwise."""
+    if f.kind is FamilyKind.DUAL_HAHN:
+        return series_dual_hahn_polynomial(*f.params, n)
+    return family_polynomial(f, n)
+
+
 def solved(lhs, f, n):
     """(c_up, c_n, c_dn) with lhs = c_up phi_{n+1} + c_n phi_n + c_dn phi_{n-1}.
 
     An exact linear solve against the generated polynomials, from the top
     coefficient down; the remainder must vanish.  c_dn is the int 0 at n = 0.
     """
-    phi_up, phi_n = family_polynomial(f, n + 1), family_polynomial(f, n)
+    phi_up, phi_n = generated(f, n + 1), generated(f, n)
     up = lhs.coeff(n + 1) / phi_up.leading()
     mid = (lhs.coeff(n) - up * phi_up.coeff(n)) / phi_n.leading()
     rest = lhs - phi_up * up - phi_n * mid
     dn = 0
     if n:
-        phi_dn = family_polynomial(f, n - 1)
+        phi_dn = generated(f, n - 1)
         dn = rest.coeff(n - 1) / phi_dn.leading()
         rest = rest - phi_dn * dn
     assert rest.is_zero()
@@ -168,7 +190,7 @@ ORACLE_FAMILIES = [
 def test_closed_forms_equal_the_exact_solve(fam):
     top = min(12, (fam.truncation() or 13) - 1)
     for n in range(top + 1):
-        phi = family_polynomial(fam, n)
+        phi = generated(fam, n)
         got = recurrence_coeffs(fam, n)
         assert same_values_and_types(got, solved(Polynomial.x() * phi, fam, n)), (n, got)
         if fam.kind in (FamilyKind.JACOBI, FamilyKind.BESSEL):
@@ -364,6 +386,39 @@ class TestDualHahn:
 
     def test_r0_is_one(self):
         assert dual_hahn_value(0, 2, F(1, 2), 0, 3) == 1
+
+    @pytest.mark.parametrize("g, d, N", [(F(1, 2), 0, 5), (F(1, 3), F(2, 7), 12), (2, 0, 12), (F(-3, 4), 1, 9)])
+    def test_recurrence_equals_the_series(self, g, d, N):
+        # exact values and types, up to n = 12
+        for x in range(N + 1):
+            for n in range(min(N, 12) + 1):
+                got = dual_hahn_value(n, x, g, d, N)
+                assert got == series_dual_hahn(n, x, g, d, N) and type(got) is F
+        for n in range(min(N, 12) + 1):
+            assert family_polynomial(Family.dual_hahn(g, d, N), n) == series_dual_hahn_polynomial(g, d, N, n)
+
+    def test_float_recurrence_near_the_series(self):
+        g, d, N = 0.5, 0.25, 8
+        for x in range(N + 1):
+            column = family_values(Family.dual_hahn(g, d, N), N, opfamilies.dual_hahn_argument(x, g, d))
+            want = [series_dual_hahn(n, x, g, d, N) for n in range(N + 1)]
+            assert all(type(v) is float for v in column)
+            assert max(abs(a - b) for a, b in zip(column, want)) <= 1e-12 * max(map(abs, want))
+
+    def test_degree_range_checked(self):
+        with pytest.raises(FamilyTruncationError, match="truncates at degree 5"):
+            dual_hahn_value(6, 0, F(1, 2), 0, 5)
+        with pytest.raises(ValidationError, match="nonnegative"):
+            dual_hahn_value(-1, 0, F(1, 2), 0, 5)
+
+
+def series_dual_hahn(n, x, g, d, N):
+    """The oracle: R_n(lambda(x)) as the terminating 3F2(-n, -x, x+g+d+1; g+1, -N; 1)."""
+    term = total = F(1) if isinstance(g + d, (int, F)) else 1.0
+    for k in range(n):
+        term = term * (k - n) * (k - x) * (x + g + d + 1 + k) / ((g + 1 + k) * (k - N) * (k + 1))
+        total += term
+    return total
 
 
 class TestContinuousDualHahnWeight:

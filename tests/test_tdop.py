@@ -28,6 +28,7 @@ from jmatrix.tdop import (
     NotSymmetrizableError,
     TDOperator,
     TridiagonalizationError,
+    VerifyToleranceError,
     _IntegerAction,
     eval_weight,
     orthogonalize,
@@ -465,6 +466,32 @@ class TestVerifyIsIndependent:
                 with pytest.raises(TridiagonalizationError) as info:
                     bad.verify(op)
                 assert info.value.index == first
+
+
+class TestFloatVerify:
+    def rational_op(self):
+        A, B, C = P(F(1, 3), F(2, 5), F(-3, 7), F(5, 4)), P(F(1, 2), 3, F(2, 3)), P(1, F(1, 5))
+        return validate_td(A, B, C, S(), T()).to_float()
+
+    def test_residual_is_relative_to_its_terms(self):
+        # the coefficients of y_k grow with k: at n = 175 the absolute
+        # residual is 1.4e-9, relative to its band terms at most 3.6e-16
+        op = self.rational_op()
+        tri = tridiagonalize(op, 200)
+        tri.verify(op, 1e-9)
+
+    @pytest.mark.parametrize("field", ["An", "Bn", "Cn"])
+    @pytest.mark.parametrize("index", [1, 100, 199])
+    def test_perturbed_bands_raise(self, field, index):
+        op = self.rational_op()
+        tri = tridiagonalize(op, 200)
+        values = list(getattr(tri, field))
+        values[index] *= 1 + 1e-6
+        bad = dataclasses.replace(tri, **{field: tuple(values)})
+        with pytest.raises(VerifyToleranceError, match=f"index {index} exceeds the verify tolerance") as info:
+            bad.verify(op, 1e-9)
+        assert isinstance(info.value, TridiagonalizationError) and info.value.index == index
+        assert "unsatisfiable" not in str(info.value)
 
 
 def multiplication_operator():
