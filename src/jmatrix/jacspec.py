@@ -433,16 +433,27 @@ _FIRST_SPAN = 4.0  # first trial length of the half-line truncation
 _MAX_EXTENSIONS = 12  # doublings of the trial length before halfline_integrate gives up
 
 
-def _composite_gauss(f, lo: float, hi: float, panels: int) -> tuple[float, float]:
-    """Composite Gauss-Legendre sum and a companion sum of |f| (same grid)."""
+def _panel_grid(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``panels`` equal Gauss-Legendre panels on [lo, hi], one row each.
+
+    Row i is ``gauss_legendre_rule(_PANEL_ORDER, edges[i], edges[i + 1])``
+    bit for bit: the same per-element formula, over every panel at once.
+    """
+    ref_nodes, ref_weights = _legendre_reference(_PANEL_ORDER)
     edges = np.linspace(lo, hi, panels + 1)
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    mid = (0.5 * (edges[1:] + edges[:-1]))[:, None]
+    return mid + half * ref_nodes, half * ref_weights
+
+
+def _composite_gauss(f, lo: float, hi: float, panels: int) -> tuple[float, float]:
+    """Composite Gauss-Legendre sum and a companion sum of |f| (same grid), one f call per panel."""
     total = 0.0
     total_abs = 0.0
-    for i in range(panels):
-        rule = gauss_legendre_rule(_PANEL_ORDER, edges[i], edges[i + 1])
-        vals = _sample(f, rule.nodes)
-        total += float(np.dot(rule.weights, vals))
-        total_abs += float(np.dot(rule.weights, np.abs(vals)))
+    for x, w in zip(*_panel_grid(lo, hi, panels)):
+        vals = _sample(f, x)
+        total += float(np.dot(w, vals))
+        total_abs += float(np.dot(w, np.abs(vals)))
     return total, total_abs
 
 

@@ -28,7 +28,7 @@ from . import jacspec, opfamilies
 from .errors import InternalConsistencyError, ValidationError
 from .gammafn import gammaln_real
 from .jacspec import JacobiOperator, SpectrumResult, _recurrence, _recurrence_log
-from .opfamilies import Family, pochhammer, recurrence_coeffs
+from .opfamilies import Family, FamilyOverflowError, pochhammer, recurrence_coeffs
 from .polycore import Mode, Polynomial, derivative_op, read_scalar, resolve_mode, second_derivative_op, to_mode
 from .tdop import TDOperator, validate_td
 
@@ -298,15 +298,28 @@ def discrete_eigvectors(model: MorseModel, mlevel: int) -> list[float]:
     """Bound-block eigenvector for the level mlevel, from the discrete family.
 
     Component n is sqrt((2b-2N+1)_n / n!) times the dual Hahn value
-    R_n(lambda(N-1-mlevel); 2b-2N, 0, N-1).  The direction is verified
-    against the eigensolver's eigenvector (cosine similarity within 1e-9).
+    R_n(lambda(N-1-mlevel); 2b-2N, 0, N-1); the scale is the running product
+    of sqrt((2b-2N+n) / n), so component 0 is exactly 1.0 and no factorial
+    leaves the float range.  The direction is verified against the
+    eigensolver's eigenvector (cosine similarity within 1e-9), taken on the
+    vector divided by its largest component so that its norm cannot overflow.
+
+    Raises:
+        ValidationError: if a component leaves the float range; the message
+            names N and the level.
     """
-    gamma = model.alpha
-    comps = [
-        math.sqrt(pochhammer(gamma + 1.0, n) / math.factorial(n)) * float(r)
-        for n, r in enumerate(_dual_hahn_column(model, mlevel, gamma, 1.0))
-    ]
+    gamma, N = model.alpha, model.N
+    try:
+        column = _dual_hahn_column(model, mlevel, gamma, 1.0)
+    except FamilyOverflowError as exc:
+        raise ValidationError(f"discrete eigenvector of level {mlevel} at N = {N} leaves the float range: {exc}") from None
+    comps, scale = [], 1.0
+    for n, r in enumerate(column):
+        if n:
+            scale *= math.sqrt((gamma + n) / n)
+        comps.append(scale * float(r))
     vec = np.array(comps)
+    vec /= np.max(np.abs(vec))
     ql = bound_states(model).eigenvectors[:, mlevel]
     cos = abs(float(np.dot(vec, ql))) / (np.linalg.norm(vec) * np.linalg.norm(ql))
     if cos < 1.0 - 1e-9:
@@ -405,9 +418,10 @@ def continuous_polys(model: MorseModel, n_max: int, gamma: float) -> ContinuousP
 def parseval_check(model: MorseModel, n: int, m2: int, rtol: float = 1e-10) -> float:
     """Quadrature value of the continuum orthonormality integral for (n, m2).
 
-    The weight is built once per call (``opfamilies._cdh_weight``: one
-    log-gamma pass per integrand call, its constants formed once), and the
-    continuum kernel rows 0 .. max(n, m2) - 1 are read once as float triples.
+    The weight is built once per call (``opfamilies._cdh_weight``: the
+    closed form with one log-gamma per node, its constants formed once), and
+    the continuum kernel rows 0 .. max(n, m2) - 1 are read once as float
+    triples.  The integrand is called once per 16-node panel.
 
     Contract: within 1e-8 of the Kronecker delta for indices up to 10
     (slightly looser for the most oscillatory pairs).

@@ -533,11 +533,15 @@ def cdh_weight(b, N: int, gamma):
     """Orthonormality weight for the continuous dual Hahn data (b+1/2, N-b+1/2, b-N+1/2).
 
     w(gamma) = |Gamma(b+1/2+ig) Gamma(N-b+1/2+ig) Gamma(b-N+1/2+ig) / Gamma(2ig)|^2
-               / (2 pi N! Gamma(2b-N+1)),
-    evaluated through complex log-gamma to avoid overflow.  Vectorized over
-    numpy arrays of gamma.  This is ``_cdh_weight(b, N)(gamma)``; a caller
-    that evaluates the weight many times for one (b, N) builds that function
-    once and calls it.
+               / (2 pi N! Gamma(2b-N+1)).
+    The second and third parameters sum to 1, so the reflection formula
+    (DLMF 5.5.3) and |Gamma(2ig)|^2 = pi / (2g sinh(2 pi g)) (DLMF 5.4.3)
+    leave one complex log-gamma:
+    w = |Gamma(b+1/2+ig)|^2 4 pi g (1 - t^2) / (4 t sin^2(pi a2) + (1 - t)^2)
+        / (2 pi N! Gamma(2b-N+1)),  t = exp(-2 pi g).
+    Vectorized over numpy arrays of gamma.  This is ``_cdh_weight(b, N)(gamma)``;
+    a caller that evaluates the weight many times for one (b, N) builds that
+    function once and calls it.
 
     Raises:
         ValidationError: if gamma is not positive and finite, or b <= N - 1/2.
@@ -548,23 +552,31 @@ def cdh_weight(b, N: int, gamma):
 def _cdh_weight(b, N: int):
     """The function gamma -> cdh_weight(b, N, gamma), its constants computed once.
 
-    b is checked and the normalization log(2 pi N! Gamma(2b-N+1)) is formed
-    here.  Each call stacks the four log-gamma arguments into one (4, ...)
-    complex array and makes one ``loggamma`` pass over it.
+    b is checked, and the normalization log(2 pi N! Gamma(2b-N+1)) and
+    sin^2(pi a2) are formed here.  Each call makes one ``loggamma`` pass over
+    b + 1/2 + i gamma.  1 - t comes from ``expm1``, and t = exp(-2 pi g) <= 1
+    only multiplies, so nothing overflows at large gamma (the sinh form does
+    past g of about 113).  sin^2(pi a2) = sin^2(pi a3) is taken at the
+    distance of a3 to its nearest integer, which keeps it accurate for b near
+    a half-integer.
     """
     bf = float(b)
     if bf <= N - 0.5:
         raise ValidationError("requires b > N - 1/2")
-    a1, a2, a3 = bf + 0.5, N - bf + 0.5, bf - N + 0.5
+    a1, a3 = bf + 0.5, bf - N + 0.5
+    sin2 = math.sin(math.pi * (a3 - round(a3))) ** 2
     log_norm = math.log(2 * math.pi) + gammaln_real(N + 1.0) + gammaln_real(2 * bf - N + 1.0)
 
     def weight(gamma):
         g = np.asarray(gamma, dtype=float)
         if not np.all((g > 0) & np.isfinite(g)):
             raise ValidationError("gamma must be positive" if np.any(g <= 0) else "gamma must be finite")
-        ig = 1j * g
-        r = loggamma(np.stack((a1 + ig, a2 + ig, a3 + ig, ig + ig))).real
-        out = np.exp(2 * (r[0] + r[1] + r[2] - r[3]) - log_norm)
+        x = g.reshape(-1)  # array loops for a scalar too, so it is the one-point array bit for bit
+        one_minus_t = -np.expm1(-2 * math.pi * x)
+        ratio = 4 * math.pi * x * one_minus_t * (2 - one_minus_t) / (
+            4 * sin2 * (1 - one_minus_t) + one_minus_t * one_minus_t
+        )
+        out = (np.exp(2 * loggamma(a1 + 1j * x).real - log_norm) * ratio).reshape(g.shape)
         return out if out.shape else float(out)
 
     return weight

@@ -3,8 +3,9 @@
 Each case's stdout is compared with ``tests/golden/<name>.<json|csv>``.
 The cases are the README examples plus the commands that reach every
 three-term recurrence the CLI can run.  To regenerate the corpus after an
-intended output change, run ``PYTHONPATH=src python tests/test_golden.py``
-and review the diff.
+intended output change, run ``PYTHONPATH=src python tests/test_golden.py``:
+it rewrites the goldens whose bytes changed and prints their names (or "no
+golden moved").  Review the diff.
 """
 
 import sys
@@ -68,9 +69,14 @@ if __name__ == "__main__":
     import os
 
     os.environ.pop("JMATRIX_MODE", None)
+    moved = []
     for name, argv in CASES.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
             if main(argv) != 0:
                 sys.exit(f"{name}: nonzero exit")
-        golden_path(name).write_text(buf.getvalue())
+        path = golden_path(name)
+        if not path.exists() or path.read_text() != buf.getvalue():
+            moved.append(name)
+            path.write_text(buf.getvalue())
+    print("\n".join(moved) if moved else "no golden moved")

@@ -22,6 +22,7 @@ from jmatrix.jacspec import (
     symmetric_tridiagonal_eig,
 )
 from jmatrix.opfamilies import Family, FamilyKind, family_jacobi_operator
+from test_opfamilies import hexes
 
 
 def const_op(a_seq, b_seq):
@@ -422,6 +423,47 @@ class TestIntegrate:
         got = adaptive_integrate(lambda x: np.exp(-x) * np.sin(x), 0.0, 20.0, rtol=1e-12)
         want = 0.5 * (1 - math.exp(-20.0) * (math.sin(20.0) + math.cos(20.0)))
         assert abs(got - want) <= 1e-11
+
+
+def per_panel_composite_gauss(f, lo, hi, panels):
+    """The oracle: one validated ``gauss_legendre_rule`` per panel, summed in panel order."""
+    edges = np.linspace(lo, hi, panels + 1)
+    total = 0.0
+    total_abs = 0.0
+    for i in range(panels):
+        rule = gauss_legendre_rule(jacspec._PANEL_ORDER, edges[i], edges[i + 1])
+        vals = jacspec._sample(f, rule.nodes)
+        total += float(np.dot(rule.weights, vals))
+        total_abs += float(np.dot(rule.weights, np.abs(vals)))
+    return total, total_abs
+
+
+class TestPanelGrid:
+    INTERVALS = [(0.0, 1.0), (-3.7, 12.2), (8.0, 16.0), (0.0, 2.0**-20)]
+
+    @pytest.mark.parametrize("lo, hi", INTERVALS)
+    def test_rows_are_the_per_panel_rules(self, lo, hi):
+        for panels in [4, 5, 7] + [2**k for k in range(3, 10)]:  # 4 .. 512
+            nodes, weights = jacspec._panel_grid(lo, hi, panels)
+            edges = np.linspace(lo, hi, panels + 1)
+            for i in range(panels):
+                rule = gauss_legendre_rule(jacspec._PANEL_ORDER, edges[i], edges[i + 1])
+                assert hexes(nodes[i]) == hexes(rule.nodes)
+                assert hexes(weights[i]) == hexes(rule.weights)
+
+    def test_composite_sums_match_the_oracle(self):
+        f = lambda x: np.cos(3 * x) * np.exp(-x)
+        for panels in (4, 8, 64, 512):
+            got = jacspec._composite_gauss(f, -1.5, 6.0, panels)
+            assert hexes(got) == hexes(per_panel_composite_gauss(f, -1.5, 6.0, panels))
+
+    def test_integrators_identical_through_both_paths(self, monkeypatch):
+        f = lambda x: np.cos(3 * x) * np.exp(-x)
+        g = lambda x: x**4 * np.exp(-x * x) * np.sin(x)
+        calls = lambda: (adaptive_integrate(f, 0.0, 20.0, rtol=1e-12), halfline_integrate(g, rtol=1e-10, atol=1e-12))
+        got = calls()
+        monkeypatch.setattr(jacspec, "_composite_gauss", per_panel_composite_gauss)
+        assert hexes(got) == hexes(calls())
 
 
 class TestBoundednessDiagnostic:

@@ -1,11 +1,12 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from jmatrix import jacspec, morse
-from jmatrix.errors import ValidationError
+from jmatrix import jacspec, morse, opfamilies
+from jmatrix.errors import InternalConsistencyError, ValidationError
 from jmatrix.jacspec import JacobiOperator
 from jmatrix.morse import (
     action_residual,
@@ -239,6 +240,24 @@ class TestDiscreteEigvectors:
         with pytest.raises(ValidationError):
             discrete_eigvectors(build_morse_model("9/4"), 2)
 
+    def test_large_float_b_ends_in_a_package_error(self):
+        # N = 300: n! leaves the float range, and the level-0 vector's norm would
+        # (components up to 4.6e160).  The float column reaches the eigensolver's
+        # check, which only level 299 passes: the forward recurrence loses the
+        # minimal solution at the others.
+        model = build_morse_model(300.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = discrete_eigvectors(model, 299)
+            assert v[0] == 1.0 and np.all(np.isfinite(v))
+            for lvl in (0, 150):
+                with pytest.raises(InternalConsistencyError, match="not parallel"):
+                    discrete_eigvectors(model, lvl)
+
+    def test_column_beyond_the_float_range_names_n_and_level(self):
+        with pytest.raises(ValidationError, match=r"^discrete eigenvector of level 0 at N = 999 leaves the float range"):
+            discrete_eigvectors(build_morse_model(999.25), 0)
+
 
 class TestExpansionIdentity:
     def test_single_level_collapses(self):
@@ -335,13 +354,20 @@ class TestContinuum:
         model = build_morse_model(b)
         kernel = morse._continuum_kernel(model)
 
-        def integrand(g):
-            g = np.asarray(g, dtype=float)
-            vals = jacspec._recurrence(kernel, g * g, max(n, m))
-            return vals[n] * vals[m] * four_call_cdh_weight(model.b, model.N, g)
+        def integrand(weight):
+            def f(g):
+                g = np.asarray(g, dtype=float)
+                vals = jacspec._recurrence(kernel, g * g, max(n, m))
+                return vals[n] * vals[m] * weight(model.b, model.N, g)
 
-        want = jacspec.halfline_integrate(integrand, lo=0.0, rtol=1e-10, atol=1e-12)
-        assert hexes([parseval_check(model, n, m)]) == hexes([want])
+            return f
+
+        got = parseval_check(model, n, m)
+        want = jacspec.halfline_integrate(integrand(opfamilies.cdh_weight), lo=0.0, rtol=1e-10, atol=1e-12)
+        assert hexes([got]) == hexes([want])
+        # the four-log-gamma weight moves the value by 9.0e-14 at most here
+        four_calls = jacspec.halfline_integrate(integrand(four_call_cdh_weight), lo=0.0, rtol=1e-10, atol=1e-12)
+        assert abs(got - four_calls) <= 1e-12
 
     def test_parseval_range_guard(self):
         with pytest.raises(ValidationError):
