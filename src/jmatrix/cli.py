@@ -49,9 +49,12 @@ DEFAULT_TOLERANCES = {"quad_rtol": 1e-10, "residual_tol": 1e-9}
 # B = x^2, C = x and 0.6 s with small rational coefficients (1.7 s wall,
 # for a 15 MB report); exact `families --eval` to n = 3000 is one
 # recurrence pass of about 2 s, and 3000 is the closed-pipe test's size;
-# `families --bochner` checks the ODE degree by degree in O(n^3), 3 s at
-# n = 300 and 18 s at n = 600; exact `morse --identity` takes about 0.2 s at
-# N = 64 and 2.5 s at N = 128, nearly all of it in the Laguerre sum.
+# `families --bochner` checks the ODE degree by degree, each phi_n built once
+# from the two below it, in O(n^2): 0.1-0.17 s at n = 300 and 0.4 s at
+# n = 600 in process; exact `morse --identity` takes about 0.02 s at N = 64,
+# 0.06 s at N = 128, 0.35 s at N = 256 and 3.2 s at N = 512 in process (level
+# 3, 2-core machine), nearly all of it in the Laguerre sum.  These two caps
+# keep the values set when they took 3 s (n = 300) and 2.5 s (N = 128).
 QUAD_MAX_N = 1000
 TRIDIAG_MAX_N = 200
 FAMILIES_MAX_N = 3000

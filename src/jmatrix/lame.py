@@ -244,7 +244,7 @@ def even_spectrum(model: LameModel) -> LameEvenSpectrum:
 
     # independent route: zeros of the generated P_{k+1}
     p_next = opfamilies._poly_by_recurrence(
-        k + 1, Mode.FLOAT, lambda n: (lower[n + 1], diag[n], upper[n - 1] if n else 0.0)
+        [Polynomial.one(Mode.FLOAT)], k + 1, lambda n: (lower[n + 1], diag[n], upper[n - 1] if n else 0.0)
     )
     roots = np.sort(np.roots(list(reversed(p_next.coeffs))).real)
 

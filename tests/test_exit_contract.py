@@ -132,7 +132,7 @@ def reject_constant(name):
         ["--quad-rtol", "inf", "morse", "--b", "9/4", "--parseval", "2", "3"],
         ["--residual-tol", "nan", "morse", "--b", "9/4", "--residual", "1"],
         ["--mode", "float", "tridiag", "--A", "0,0,0,1", "--B", "0,0,1", "--C", "0,1", "--n", "3", "--q", "1e200"],
-        # OverflowError in weight_mass, ZeroDivisionError in _poly_bessel
+        # OverflowError in weight_mass; 1/u_0 = inf for a subnormal Bessel b
         ["quad", "--family", "laguerre:171", "--n", "4"],
         ["quad", "--family", "jacobi:1100,0", "--n", "4"],
         ["families", "--family", "bessel:1/2,1e-320", "--n", "3", "--bochner"],
@@ -148,6 +148,11 @@ def reject_constant(name):
         ["morse", "--b", "9/4", "--grid", "1,2"],
         # a float identity whose rounding alone exceeds --residual-tol
         ["--mode", "float", "morse", "--b", "129/4", "--identity", "3"],
+        # --bochner past the float range, which once read 0.0: H_300 has
+        # infinite coefficients, and the residuals are NaN from n = 261 for
+        # Hermite and from n = 142 for bessel:3,2
+        ["families", "--family", "hermite", "--n", "300", "--bochner"],
+        ["families", "--family", "bessel:3,2", "--n", "150", "--bochner"],
     ],
 )
 def test_found_cases_exit_1_with_one_line(capsys, argv):

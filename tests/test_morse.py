@@ -25,7 +25,7 @@ from jmatrix.morse import (
 )
 from jmatrix.polycore import Mode, Polynomial
 from jmatrix.tdop import tridiagonalize
-from test_opfamilies import four_call_cdh_weight, hexes, series_dual_hahn
+from test_opfamilies import four_call_cdh_weight, hexes, series_cdh, series_dual_hahn
 
 F = Fraction
 
@@ -325,6 +325,21 @@ class TestContinuum:
     def test_two_routes_agree(self, b, n_max):
         cp = continuous_polys(build_morse_model(b), n_max, 1.3)
         assert cp.max_rel_diff <= 1e-10
+
+    @pytest.mark.parametrize("b,n_max", [("9/4", 10), (3.8, 8), ("33/10", 12)])
+    def test_normalized_route_is_the_series(self, b, n_max):
+        # both routes of continuous_polys are recurrences; the series is not
+        model = build_morse_model(b)
+        gamma = 1.3
+        cp = continuous_polys(model, n_max, gamma)
+        b_ex, half = F(model.b), F(1, 2)  # the float b the model reads, exactly
+        trio = (b_ex + half, model.N - b_ex + half, b_ex - model.N + half)
+        for n, got in enumerate(cp.normalized):
+            s = series_cdh(*trio, n, Mode.EXACT)(F(gamma**2))  # exact: the float series cancels
+            want = float(s) / (math.factorial(n) * math.sqrt(
+                opfamilies.pochhammer(model.N + 1.0, n) * opfamilies.pochhammer(2 * model.b - model.N + 1.0, n)
+            ))
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), n  # measured worst 6.7e-16
 
     @pytest.mark.parametrize("b", ["9/4", "19/5", "33/10", "7/10", 5.7, "1/5"])
     def test_recurrence_reads_rows_n_on_of_the_bands(self, b):

@@ -28,7 +28,7 @@ from jmatrix.opfamilies import (
     pochhammer,
     recurrence_coeffs,
 )
-from jmatrix.polycore import Mode, Polynomial
+from jmatrix.polycore import Mode, Polynomial, to_mode
 
 F = Fraction
 
@@ -142,13 +142,65 @@ def series_dual_hahn_polynomial(g, d, N, n):
     return acc
 
 
-def generated(f, n):
-    """The family's degree-n polynomial from a route independent of its
-    recurrence: the series oracle for dual Hahn (whose family_polynomial
-    runs the recurrence), family_polynomial otherwise."""
+def series_jacobi(alpha, beta, n, mode):
+    """((alpha+1)_n / n!) 2F1(-n, n+alpha+beta+1; alpha+1; (1-x)/2)."""
+    half = to_mode(F(1, 2), mode)
+    base = Polynomial((half, -half), mode)
+    acc = power = Polynomial.one(mode)
+    coef = to_mode(1, mode)
+    for j in range(n):
+        coef = coef * (-(n - j)) * (n + alpha + beta + 1 + j) / ((alpha + 1 + j) * (j + 1))
+        power = power * base
+        acc = acc + power * coef
+    return acc * (pochhammer(alpha + 1, n) / to_mode(math.factorial(n), mode))
+
+
+def series_laguerre(alpha, n, mode):
+    """sum_j (-1)^j (alpha+j+1)_{n-j} x^j / ((n-j)! j!)."""
+    coeffs = []
+    for j in range(n + 1):
+        c = pochhammer(alpha + j + 1, n - j) / to_mode(math.factorial(n - j) * math.factorial(j), mode)
+        coeffs.append(c if j % 2 == 0 else -c)
+    return Polynomial(coeffs, mode)
+
+
+def series_bessel(a, b, n, mode):
+    """2F0(-n, n+a-1; ; -x/b) = sum_j n!/(n-j)! (n+a-1)_j x^j / (j! b^j)."""
+    coeffs = []
+    for j in range(n + 1):
+        num = to_mode(math.factorial(n) // math.factorial(n - j), mode) * pochhammer(a + n - 1, j)
+        coeffs.append(num / (to_mode(math.factorial(j), mode) * b**j))
+    return Polynomial(coeffs, mode)
+
+
+def series_cdh(a, b, c, n, mode):
+    """(a+b)_n (a+c)_n 3F2(-n, a+ix, a-ix; a+b, a+c; 1) in z = x^2, summed over
+    the products (a+ix)_j (a-ix)_j = prod_{i<j} (z + (a+i)^2)."""
+    z = Polynomial.x(mode)
+    acc = prod = Polynomial.one(mode)
+    coef = to_mode(1, mode)
+    for j in range(n):
+        prod = prod * (z + Polynomial(((a + j) ** 2,), mode))
+        coef = coef * (-(n - j)) / ((a + b + j) * (a + c + j) * (j + 1))
+        acc = acc + prod * coef
+    return acc * (pochhammer(a + b, n) * pochhammer(a + c, n))
+
+
+SERIES = {
+    FamilyKind.JACOBI: series_jacobi,
+    FamilyKind.LAGUERRE: series_laguerre,
+    FamilyKind.BESSEL: series_bessel,
+    FamilyKind.CONTINUOUS_DUAL_HAHN: series_cdh,
+}
+
+
+def generated(f, n, mode=Mode.EXACT):
+    """The family's degree-n polynomial from its hypergeometric series: a
+    route independent of the recurrence that family_polynomial runs."""
     if f.kind is FamilyKind.DUAL_HAHN:
+        assert mode is Mode.EXACT
         return series_dual_hahn_polynomial(*f.params, n)
-    return family_polynomial(f, n)
+    return SERIES[f.kind](*(to_mode(v, mode) for v in f.params), n, mode)
 
 
 def solved(lhs, f, n):
@@ -200,6 +252,48 @@ def test_closed_forms_equal_the_exact_solve(fam):
             assert same_values_and_types(got, solved(G * phi.derivative(), fam, n)), (n, got)
 
 
+SERIES_FAMILIES = ORACLE_FAMILIES + [Family.laguerre(0), Family.laguerre(F(1, 2)), Family.laguerre(3)]
+
+
+@pytest.mark.parametrize("fam", SERIES_FAMILIES, ids=Family.spec_string)
+def test_recurrence_polynomials_equal_the_series(fam):
+    # exact values (EXACT rows of Fractions), up to degree 14 or the truncation
+    for n in range(min(14, fam.truncation() or 14) + 1):
+        got = family_polynomial(fam, n)
+        assert got.mode is Mode.EXACT and got == generated(fam, n), n
+
+
+# The largest coefficient error of degrees 0 .. 20, relative to the largest
+# coefficient, against the exact series: at most 1.9e-15 measured here (Bessel
+# 7/3, -5).  The float series had 2.3e-9 (Jacobi 1/2, -1/4), 1.2e-9 (Jacobi
+# 1/2, 1/3) and 1.9e-10 (cdh).
+FLOAT_COEFF_RTOL = 2e-15
+
+
+@pytest.mark.parametrize(
+    "spec", ["jacobi:1/2,-1/4", "jacobi:1/2,1/3", "laguerre:1/2", "bessel:3,2", "bessel:7/3,-5", "cdh:11/4,1/4,7/4"]
+)
+def test_float_polynomials_near_the_exact_series(spec):
+    exact = Family.parse(spec)
+    decimal = Family(exact.kind, tuple(float(v) for v in exact.params))
+    for n in range(21):
+        got = family_polynomial(decimal, n).coeffs
+        want = generated(exact, n).coeffs
+        assert len(got) == len(want) and all(type(c) is float for c in got)
+        err = max(abs(F(g) - w) for g, w in zip(got, want)) / max(map(abs, want))
+        assert err <= FLOAT_COEFF_RTOL, (n, float(err))
+
+
+@pytest.mark.parametrize("spec", ["jacobi:1/2,-1/4", "hermite", "cdh:2.75,0.25,1.75", "bessel:3,2"])
+def test_float_polynomial_independent_of_the_read_order(spec):
+    f = Family.parse(spec)
+    opfamilies._family_table.cache_clear()
+    cold = family_polynomial(f, 3, Mode.FLOAT)
+    opfamilies._family_table.cache_clear()
+    family_polynomial(f, 10, Mode.FLOAT)
+    assert hexes(family_polynomial(f, 3, Mode.FLOAT).coeffs) == hexes(cold.coeffs)
+
+
 @pytest.mark.parametrize("a, degree", [(0, 1), (-1, 2), (-4, 3), (F(-3), 3), (-4.0, 3)])
 def test_degenerate_bessel_raises(a, degree):
     f = Family.bessel(a, 2)
@@ -207,9 +301,12 @@ def test_degenerate_bessel_raises(a, degree):
     for n in range(lowest):
         recurrence_coeffs(f, n)
         asc_relation(f, n)
-    for call in (recurrence_coeffs, asc_relation):
+    family_polynomial(f, lowest)
+    for call, n in ((recurrence_coeffs, lowest), (asc_relation, lowest), (family_polynomial, degree)):
         with pytest.raises(ValidationError, match=f"degenerates at degree {degree} "):
-            call(f, lowest)
+            call(f, n)
+    with pytest.raises(ValidationError, match=f"degenerates at degree {degree} "):
+        family_polynomial(f, degree + 1)  # and at every degree past it
 
 
 class TestEvalFamily:
@@ -299,7 +396,7 @@ class TestCacheModes:
     def test_equal_parameters_keep_their_mode(self, order):
         # Family(k, (2.25,)) == Family(k, (F(9, 4),)), so only the mode in
         # the cache key keeps one spelling from reading the other's results.
-        opfamilies._family_polynomial.cache_clear()
+        opfamilies._family_table.cache_clear()
         for spelling in order:
             jac, cdh = (Family.parse(s) for s in self.SPELLINGS[spelling])
             want = F if spelling == "exact" else float
@@ -307,6 +404,8 @@ class TestCacheModes:
                 _, a, b, c = asc_relation(jac, n)
                 assert all(type(v) is want for v in (a, b, c))
                 assert all(type(v) is want for v in recurrence_coeffs(cdh, n))
+                for f in (jac, cdh):
+                    assert all(type(v) is want for v in family_polynomial(f, n).coeffs)
 
 
 class TestBochner:
@@ -327,6 +426,11 @@ class TestBochner:
 
     def test_bessel_exact(self):
         assert bochner_residual(Family.bessel(3, 2), 5, [F(1, 2), F(-2, 3)]) == 0
+
+    @pytest.mark.parametrize("f, n", [(Family.bessel(3.0, 2.0), 150), (Family.hermite(), 261)])
+    def test_residual_past_the_float_range_is_nan(self, f, n):
+        # finite coefficients whose residual overflows to inf - inf: NaN, not 0.0
+        assert math.isnan(bochner_residual(f, n, [-0.9, -0.3, 0.4, 1.7]))
 
     def test_discrete_families_rejected(self):
         with pytest.raises(ValidationError):
