@@ -347,15 +347,11 @@ def eval_pn_scaled(J: JacobiOperator, z: float, n_max: int) -> list[tuple[float,
 
 
 def _sample(f, xs: np.ndarray) -> np.ndarray:
-    """f at the points xs: one vectorised call if f maps xs to an array of
-    its shape, else one call per point."""
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape == xs.shape:
-            return vals
-    except Exception:
-        pass
-    return np.array([float(f(x)) for x in xs])
+    """f at the points xs, from one vectorised call; a ValidationError unless f(xs) has the shape of xs."""
+    vals = np.asarray(f(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise ValidationError(f"integrand returned shape {vals.shape} for points of shape {xs.shape}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -374,6 +370,7 @@ class QuadratureRule:
             raise ValidationError("weights do not sum to the declared total mass")
 
     def integrate(self, f) -> float:
+        """The rule's sum of f, which must be vectorised (see ``adaptive_integrate``)."""
         return float(np.dot(self.weights, _sample(f, self.nodes)))
 
     def inner(self, p, q) -> float:
@@ -461,8 +458,10 @@ def adaptive_integrate(f, lo: float, hi: float, rtol: float = 1e-10, atol: float
     """Integrate f on [lo, hi], doubling panel counts until two successive
     refinements differ by less than max(atol, rtol * |I|).
 
-    Raises ConvergenceError after ``_MAX_DOUBLINGS`` refinements, with the
-    last ``panels`` count, its ``estimate`` and the ``difference``.
+    f must be vectorised: called on an array of points, it returns an array
+    of their shape, else a ValidationError.  Raises ConvergenceError after
+    ``_MAX_DOUBLINGS`` refinements, with the last ``panels`` count, its
+    ``estimate`` and the ``difference``.
     """
     if atol is None:
         atol = rtol
@@ -481,7 +480,7 @@ def adaptive_integrate(f, lo: float, hi: float, rtol: float = 1e-10, atol: float
 def halfline_integrate(f, lo: float = 0.0, rtol: float = 1e-10, atol: float | None = None) -> float:
     """Integrate f on [lo, infinity) for integrands with super-polynomial decay.
 
-    The domain is truncated at T where the sampled envelope of |f| falls
+    f must be vectorised, as in ``adaptive_integrate``.  The domain is truncated at T where the sampled envelope of |f| falls
     below ``_ENVELOPE_DROP`` times its peak, then integrated adaptively.
     The integral over [T, 2T - lo] is added; a ConvergenceError carrying
     ``T``, ``tail`` and ``estimate`` says it exceeds max(atol, rtol * |I|),

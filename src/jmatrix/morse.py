@@ -396,19 +396,16 @@ class ContinuousPolys:
 
 
 def continuous_polys(model: MorseModel, n_max: int, gamma: float) -> ContinuousPolys:
-    """P_n(gamma^2) for n = 0..n_max, by forward recurrence and by the
-    normalized continuous dual Hahn evaluation, with their max relative gap."""
+    """P_n(gamma^2) for n = 0..n_max, by the recurrence of the Morse bands and by
+    that of the continuous dual Hahn family, normalized, with their max relative gap."""
     z = float(gamma) ** 2
     b, N = model.b, model.N
     rec = _recurrence(_continuum_kernel(model), z, n_max)
     fam = Family.continuous_dual_hahn(b + 0.5, N - b + 0.5, b - N + 0.5)
-    normalized = []
-    for n in range(n_max + 1):
-        s = float(opfamilies.family_polynomial(fam, n, Mode.FLOAT)(z))
-        denom = math.factorial(n) * math.sqrt(
-            pochhammer(float(N + 1), n) * pochhammer(2 * b - N + 1.0, n)
-        )
-        normalized.append(s / denom)
+    normalized = [
+        s / (math.factorial(n) * math.sqrt(pochhammer(float(N + 1), n) * pochhammer(2 * b - N + 1.0, n)))
+        for n, s in enumerate(opfamilies.family_values(fam, n_max, z))
+    ]
     gap = max(
         abs(r - s) / max(abs(r), abs(s), 1e-300) for r, s in zip(rec, normalized)
     )

@@ -371,19 +371,13 @@ def family_values(f: Family, n: int, x, each=None) -> list:
     mode = resolve_mode(scalar_mode(x), f.params_exact(), "rational family parameters")
     coeffs, x = _typed_coeffs(f, mode), to_mode(x, mode)
 
-    def check_range(values):
-        over = next((m for m, v in enumerate(values) if abs(v) > 1e300), None) if mode is Mode.FLOAT else None
-        if over is not None:
-            raise FamilyOverflowError(f"{f.kind.value} value at degree <= {over} exceeds 1e300; use eval_family_log")
+    def check(m, value):
+        if each is not None:
+            each(m, value)
+        if mode is Mode.FLOAT and abs(value) > 1e300:
+            raise FamilyOverflowError(f"{f.kind.value} value at degree <= {m} exceeds 1e300; use eval_family_log")
 
-    asked = []  # the indices of the coefficients asked for
-    try:
-        values = _recurrence(lambda m: asked.append(m) or coeffs(m), x, n if tr is None else min(n, tr), each)
-    except (ValidationError, ArithmeticError):
-        if mode is Mode.FLOAT and asked:
-            check_range(_recurrence(coeffs, x, asked[-1]))  # degrees 0 .. m passed before index m failed
-        raise
-    check_range(values)
+    values = _recurrence(coeffs, x, n if tr is None else min(n, tr), check)
     if tr is not None and n > tr:
         raise FamilyTruncationError(f"{f.kind.value} truncates at degree {tr}")
     return values
@@ -427,19 +421,27 @@ def bochner_ode(f: Family, mode: Mode | None = None):
 
 
 def bochner_residual(f: Family, n: int, samples):
-    """Max |A phi_n'' + B phi_n' + lambda_n phi_n| over the samples.
+    """Max over the samples s of |A phi_n'' + B phi_n' + lambda_n phi_n|(s) over
+    its rounding scale, the sum of |c_j| |s|^j over the coefficients of the terms.
 
     The derivatives come from the recurrence-generated coefficient
-    polynomial, so the residual is exact in EXACT mode.
+    polynomial, so the residual is exact in EXACT mode.  It is NaN where it
+    or its scale leaves the float range.
     """
     modes = {scalar_mode(s) for s in samples}
     mode = resolve_mode(None, Mode.FLOAT not in modes and f.params_exact())
     A, B, lam = bochner_ode(f, mode)
     phi = family_polynomial(f, n, mode)
-    residual = A * phi.derivative().derivative() + B * phi.derivative() + phi * lam(n)
+    terms = (A * phi.derivative().derivative(), B * phi.derivative(), phi * lam(n))
+    residual = terms[0] + terms[1] + terms[2]
+    scale = sum((Polynomial([abs(c) for c in t.coeffs], mode) for t in terms), Polynomial.zero(mode))
     worst = to_mode(0, mode)
     for s in samples:
-        val = abs(residual(to_mode(s, mode)))
+        s = to_mode(s, mode)
+        val = abs(residual(s))
+        if val:  # a scale that overflowed would read any residual as 0
+            bound = scale(abs(s))
+            val = val / bound if bound < math.inf else math.nan
         if val != val:  # NaN: a residual that cannot be formed, not one to skip
             return val
         if val > worst:

@@ -354,26 +354,18 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
     if op.mode is Mode.EXACT:
         return _tridiagonalize_exact(op, n_max)
     mode = op.mode
-    zero = to_mode(0, mode)
-    one = to_mode(1, mode)
     ys = [Polynomial.one(mode)]
     bands = []  # bands[j]: the coefficients of x^(j-2) .. x^(j+1) in L x^j
-    An, Bn, Cn = [], [], []
+    abc = []  # (A_k, B_k, C_k)
     for k in range(n_max):
         bands.append(op._monomial_action(k))
         y = ys[k].coeffs
-        Ly = [zero] + [c * band[3] for c, band in zip(y, bands)]
-        for j in range(k + 1):
-            Ly[j] += y[j] * bands[j][2]
-        for j in range(1, k + 1):
-            Ly[j - 1] += y[j] * bands[j][1]
-        for j in range(2, k + 1):
-            Ly[j - 2] += y[j] * bands[j][0]
+        Ly = _band_action(y, bands, 0.0)
         a_k = Ly[k + 1]
         b_k = Ly[k]
-        c_k = zero if k == 0 else Ly[k - 1] - b_k * y[k - 1]
-        coeffs = [zero] * (k + 2)
-        coeffs[k + 1] = one
+        c_k = 0.0 if k == 0 else Ly[k - 1] - b_k * y[k - 1]
+        coeffs = [0.0] * (k + 2)
+        coeffs[k + 1] = 1.0
         for p in range(k - 2, -1, -1):
             rhs = Ly[p] - b_k * y[p] - c_k * ys[k - 1].coeffs[p]
             if a_k != 0:
@@ -383,10 +375,8 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
                     k, f"A_{k} = 0 but the x^{p} equation has nonzero right side {format_scalar(rhs)}"
                 )
         ys.append(Polynomial._of(coeffs, mode))
-        An.append(a_k)
-        Bn.append(b_k)
-        Cn.append(c_k)
-    return Tridiagonalization(tuple(ys), tuple(An), tuple(Bn), tuple(Cn))
+        abc.append((a_k, b_k, c_k))
+    return Tridiagonalization(tuple(ys), *zip(*abc))
 
 
 def _tridiagonalize_exact(op: TDOperator, n_max: int) -> Tridiagonalization:
@@ -413,15 +403,9 @@ def _tridiagonalize_exact(op: TDOperator, n_max: int) -> Tridiagonalization:
     Y, D = (1,), 1
     Y_prev, D_prev = (), 1
     ys = [Polynomial.one(Mode.EXACT)]
-    An, Bn, Cn = [], [], []
+    abc = []  # (A_k, B_k, C_k)
     for k in range(n_max):
-        W = [0] + [c * b[3] for c, b in zip(Y, bands)]
-        for j in range(k + 1):
-            W[j] += Y[j] * bands[j][2]
-        for j in range(1, k + 1):
-            W[j - 1] += Y[j] * bands[j][1]
-        for j in range(2, k + 1):
-            W[j - 2] += Y[j] * bands[j][0]
+        W = _band_action(Y, bands, 0)
         a_k = Fraction(bands[k][3], E)
         b_k = Fraction(W[k], E * D)
         c_k = Fraction(0) if k == 0 else Fraction(W[k - 1], E * D)  # y_k has no x^(k-1) term
@@ -443,10 +427,18 @@ def _tridiagonalize_exact(op: TDOperator, n_max: int) -> Tridiagonalization:
             y = Polynomial._rows([z * s for z in Z] + [0] * min(k + 1, 2) + [den], den)
         ys.append(y)
         Y_prev, D_prev, Y, D = Y, D, y._num, y._den
-        An.append(a_k)
-        Bn.append(b_k)
-        Cn.append(c_k)
-    return Tridiagonalization(tuple(ys), tuple(An), tuple(Bn), tuple(Cn))
+        abc.append((a_k, b_k, c_k))
+    return Tridiagonalization(tuple(ys), *zip(*abc))
+
+
+def _band_action(y: Sequence, bands: Sequence, zero) -> list:
+    """The coefficients of L y from those of y (or its integer row) and the
+    bands (x^(j-2) .. x^(j+1)) of each L x^j, summed from ``zero`` (0 or 0.0)."""
+    Ly = [zero] + [c * band[3] for c, band in zip(y, bands)]
+    for d in (0, 1, 2):  # the x^j, x^(j-1) and x^(j-2) bands, in that order
+        for j in range(d, len(y)):
+            Ly[j - d] += y[j] * bands[j][2 - d]
+    return Ly
 
 
 def _band_table(op: TDOperator, size: int, steps=None) -> tuple[list[list[int]], int]:
@@ -623,23 +615,19 @@ class ReconstructedOperator:
     images: tuple[Polynomial, ...]
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """D p, the sum of c_n D x^n; on EXACT integer rows over one denominator."""
+        """D p, the sum of c_n D x^n, on rows over one denominator (1 in FLOAT);
+        a ModeError if p and an image it reads differ in mode."""
         if p.degree >= len(self.images):
             raise ValidationError("polynomial degree beyond the reconstructed range")
-        if p.mode is Mode.EXACT:
-            terms = [(c, self.images[n]) for n, c in enumerate(p._num) if c]
-            if all(image.mode is Mode.EXACT for _, image in terms):
-                den = math.lcm(*[image._den for _, image in terms])
-                out = [0] * max((len(image._num) for _, image in terms), default=0)
-                for c, image in terms:
-                    s = c * (den // image._den)
-                    out[: len(image._num)] = [o + s * v for o, v in zip(out, image._num)]
-                return Polynomial._rows(out, den * p._den)
-        acc = Polynomial.zero(p.mode)
-        for n, c in enumerate(p.coeffs):
-            if c != 0:
-                acc = acc + self.images[n] * c
-        return acc
+        terms = [(c, self.images[n]) for n, c in enumerate(p._num) if c]
+        if any(image.mode is not p.mode for _, image in terms):
+            raise ModeError("polynomial modes differ")
+        den = math.lcm(*[image._den for _, image in terms])
+        out = [0 if p.mode is Mode.EXACT else 0.0] * max((len(image._num) for _, image in terms), default=0)
+        for c, image in terms:
+            s = c * (den // image._den)
+            out[: len(image._num)] = [o + s * v for o, v in zip(out, image._num)]
+        return Polynomial._rows(out, den * p._den) if p.mode is Mode.EXACT else Polynomial._of(out, p.mode)
 
     def matrix(self) -> list[list]:
         """Dense monomial-basis matrix; entry [i][j] is the x^i coefficient of D x^j."""
@@ -662,26 +650,20 @@ def reconstruct_diagonalizer(op: TDOperator, n_max: int) -> ReconstructedOperato
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
     mode = op.mode
-    images = [Polynomial._of((), mode)]
     if mode is Mode.EXACT:
         bands, E = _band_table(op, n_max)
-        prev = [0]  # D x^(n-1) = prev / E
-        for n, band in enumerate(bands, 1):
-            cur = [0] + [-c for c in prev]
-            for p, v in enumerate(band, n - 3):
-                if p >= 0:
-                    cur[p] += v
-            images.append(Polynomial._rows(cur, E))
-            prev = cur
-        return ReconstructedOperator(tuple(images))
-    zero = to_mode(0, mode)
-    prev = [zero]  # coefficients of D x^(n-1), x^0 .. x^(n-1)
-    for n in range(1, n_max + 1):
+        zero, image = 0, lambda row: Polynomial._rows(row, E)
+    else:
+        bands = (op._monomial_action(j) for j in range(n_max))
+        zero, image = 0.0, lambda row: Polynomial._of(row, mode)
+    images = [Polynomial._of((), mode)]
+    prev = [zero]  # D x^(n-1): its coefficients, or their numerators over E
+    for n, band in enumerate(bands, 1):
         cur = [zero] + [zero - c for c in prev]  # zero - c: no float -0.0
-        for p, band in enumerate(op._monomial_action(n - 1), n - 3):
+        for p, v in enumerate(band, n - 3):
             if p >= 0:
-                cur[p] += band
-        images.append(Polynomial._of(cur, mode))
+                cur[p] += v
+        images.append(image(cur))
         prev = cur
     return ReconstructedOperator(tuple(images))
 

@@ -6,8 +6,21 @@ three-term recurrence the CLI can run.  To regenerate the corpus after an
 intended output change, run ``PYTHONPATH=src python tests/test_golden.py``:
 it rewrites the goldens whose bytes changed and prints their names (or "no
 golden moved").  Review the diff.
+
+``tests/golden/corpus.json`` holds a wider set of argv, each with the
+sha256 of its exit status and stdout.  Most were drawn once from the
+seeded ``cli-pipelines`` decks of the benchmark (seed 1, every command but
+the Parseval integrals); the rest were added by hand: float ``tridiag``
+with and without ``--q``, the ``families --eval`` and ``--bochner`` paths,
+and the failing argv of ``test_exit_contract.py``.
+``PYTHONPATH=src python tests/test_golden.py --corpus`` rewrites the
+digests and prints each argv whose digest moved (or "no digest moved").
 """
 
+import contextlib
+import hashlib
+import io
+import json
 import sys
 from pathlib import Path
 
@@ -16,6 +29,7 @@ import pytest
 from jmatrix.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+CORPUS = GOLDEN / "corpus.json"
 
 CASES = {
     "morse_levels": ["morse", "--b", "2.25", "--levels"],
@@ -63,12 +77,41 @@ def test_report_matches_golden(name, capsys, monkeypatch):
     assert capsys.readouterr().out == golden_path(name).read_text()
 
 
+def digest(argv) -> str:
+    """sha256 of the exit status and stdout of ``jmatrix argv``, run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        status = main(argv)
+    return hashlib.sha256(f"{status}\n{out.getvalue()}".encode()).hexdigest()
+
+
+def test_corpus_digests(monkeypatch):
+    monkeypatch.delenv("JMATRIX_MODE", raising=False)
+    cases = json.loads(CORPUS.read_text())
+    assert [" ".join(case["argv"]) for case in cases if digest(case["argv"]) != case["sha256"]] == []
+
+
+def regenerate_corpus() -> list:
+    """Rewrite the corpus digests; return the argv whose digest moved."""
+    cases = json.loads(CORPUS.read_text())
+    moved = []
+    for case in cases:
+        new = digest(case["argv"])
+        if new != case["sha256"]:
+            moved.append(" ".join(case["argv"]))
+            case["sha256"] = new
+    CORPUS.write_text("[\n" + ",\n".join(json.dumps(case) for case in cases) + "\n]\n")
+    return moved
+
+
 if __name__ == "__main__":
-    import contextlib
-    import io
     import os
 
     os.environ.pop("JMATRIX_MODE", None)
+    if sys.argv[1:] == ["--corpus"]:
+        moved = regenerate_corpus()
+        print("\n".join(moved) if moved else "no digest moved")
+        sys.exit()
     moved = []
     for name, argv in CASES.items():
         buf = io.StringIO()

@@ -312,14 +312,18 @@ class TestRecurrenceKernel:
             assert logs[n][0] == 1.0 and abs(logs[n][1] - want) <= 1e-12 * want
 
 
-def test_integrators_fall_back_to_points():
-    def collapsing(x):  # exp(-x) at a point; an array collapses to one scalar
-        return math.exp(-float(np.max(x)))
-
+def test_integrators_reject_a_wrong_shape_after_one_call():
+    # f must be vectorised: one that collapses its points to a scalar, or
+    # returns too many values, is called once and not retried point by point
     rule = gauss_legendre_rule(8, 0.0, 1.0)
-    assert abs(rule.integrate(collapsing) - (1 - math.exp(-1))) <= 1e-12
-    assert abs(adaptive_integrate(collapsing, 0.0, 1.0) - (1 - math.exp(-1))) <= 1e-12
-    assert abs(halfline_integrate(collapsing) - 1.0) <= 1e-9
+    entries = [rule.integrate, lambda f: adaptive_integrate(f, 0.0, 1.0), halfline_integrate]
+    for entry in entries:
+        for wrong in (lambda x: math.exp(-float(np.max(x))), lambda x: np.append(np.exp(-x), 0.0)):
+            calls = []
+            with pytest.raises(ValidationError, match="^integrand returned shape") as info:
+                entry(lambda x: calls.append(np.shape(x)) or wrong(x))
+            assert len(calls) == 1 and calls[0][0] > 1
+            assert "\n" not in str(info.value)
 
 
 class TestGolubWelsch:

@@ -436,6 +436,30 @@ class TestBochner:
         with pytest.raises(ValidationError):
             bochner_residual(Family.dual_hahn(F(1, 2), 0, 3), 1, [1])
 
+    CLI_SAMPLES = [-0.9, -0.3, 0.4, 1.7]
+
+    @pytest.mark.parametrize("spec, n", [("hermite", 100), ("jacobi:1/2,1/3", 50), ("bessel:3,2", 20)])
+    def test_float_residual_is_relative_to_its_terms(self, spec, n):
+        # unscaled, these read 8.6e88, 3.6e14 and 8.2e14: rounding of large terms
+        assert bochner_residual(Family.parse(spec), n, self.CLI_SAMPLES) <= 1e-15
+
+    @pytest.mark.parametrize("spec, n", [("hermite", 10), ("jacobi:1/2,1/3", 12), ("bessel:3,2", 8)])
+    def test_a_wrong_polynomial_reads_far_above_rounding(self, monkeypatch, spec, n):
+        f = Family.parse(spec)
+        phi = family_polynomial(f, n, Mode.FLOAT)
+        wrong = phi + Polynomial.monomial(n - 2, 1e-9 * phi.leading(), Mode.FLOAT)
+        monkeypatch.setattr(opfamilies, "family_polynomial", lambda *args: wrong)
+        assert bochner_residual(f, n, self.CLI_SAMPLES) > 1e-12
+
+    def test_exact_zeros_stay_exact(self):
+        assert type(bochner_residual(Family.hermite(), 7, [F(1, 3), F(-5, 2)])) is F
+        assert bochner_residual(Family.chebyshev_t(), 0, self.CLI_SAMPLES) == 0.0
+
+    def test_residual_whose_scale_overflows_is_nan(self):
+        # the residual of H_258 is finite (about 1e296 at 1.7), but the sum of
+        # its term magnitudes overflows, which would read any residual as 0
+        assert math.isnan(bochner_residual(Family.hermite(), 258, self.CLI_SAMPLES))
+
 
 class TestStructureRelation:
     def test_hermite(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -39,6 +40,7 @@ from jmatrix.tdop import (
     weight_log_derivative,
 )
 from jmatrix.verify import random_strict_operator
+from test_opfamilies import hexes
 
 F = Fraction
 S = derivative_op
@@ -682,6 +684,27 @@ class TestReconstruction:
             scale = max((abs(c) for c in want.coeffs), default=1.0)
             assert D.images[n].degree == want.degree
             assert all(abs(D.images[n].coeff(i) - c) <= 1e-14 * scale for i, c in enumerate(want.coeffs))
+
+    def test_float_images_and_apply_are_pinned(self):
+        # float.hex of every D x^n and of D p for float operators, two with
+        # q-difference lowering; the digest was taken before the EXACT and
+        # FLOAT loops became one, so a moved bit anywhere shows
+        rng = random.Random(15)
+        digest = hashlib.sha256()
+        for i, q in enumerate((None, None, 2 / 3, 3 / 2)):
+            op = random_strict_operator(rng, 4 * i + i % 3, depth=21).to_float()
+            D = reconstruct_diagonalizer(op if q is None else with_lowering(op, q), 21)
+            p = Polynomial([0.0 if k % 3 == 1 else rng.uniform(-1, 1) for k in range(22)], Mode.FLOAT)
+            for poly in (*D.images, D.apply(p)):
+                digest.update(" ".join(hexes(poly.coeffs)).encode() + b";")
+        assert digest.hexdigest() == "280e3559388f559f07eafdf24bb7ebd3b16473c5af5cfce9921471b984d3a4fb"
+
+    def test_apply_in_another_mode_raises(self):
+        D = reconstruct_diagonalizer(cubic_op(), 5)
+        with pytest.raises(ModeError):
+            D.apply(Polynomial([1.0, 2.0], Mode.FLOAT))
+        with pytest.raises(ModeError):
+            reconstruct_diagonalizer(cubic_op().to_float(), 5).apply(P(1, 2))
 
     def test_matrix_shape(self):
         D = reconstruct_diagonalizer(cubic_op(), 4)
