@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -184,6 +185,13 @@ class Family:
             return int(self.params[2])
         return None
 
+    # The recurrence of a Jacobi, Laguerre, Hermite or Chebyshev T family, set
+    # up once per instance.  A cache keyed on the family would mix types:
+    # Family(k, (2.25,)) and Family(k, (Fraction(9, 4),)) compare equal.
+    @cached_property
+    def _band(self):
+        return _quadrature_band(self)
+
 
 # Cache bound: a 35 s in-process loop of the CLI pipelines creates 82 or 83
 # (family, mode) tables (seeds 1-3), so this holds three such runs.
@@ -266,6 +274,65 @@ def _check_bessel(f: Family, n: int) -> None:
         raise ValidationError(f"bessel{f.params} degenerates at degree {lost} (leading coefficient vanished)")
 
 
+_QUADRATURE_KINDS = (FamilyKind.JACOBI, FamilyKind.LAGUERRE, FamilyKind.HERMITE, FamilyKind.CHEBYSHEV_T)
+
+# Band ratios: index n -> (u_num, u_den, v_num, v_den, w_num, w_den), the
+# recurrence coefficients u_n = u_num / u_den, .. of the family; w_0 is 0 and
+# every denominator is positive.  Parameters enter as numerators A, B over a
+# common denominator D.
+
+
+def _hermite_ratios(n):
+    return (1, 2, 0, 1, n, 1)
+
+
+def _chebyshev_ratios(n):
+    return (1, 2, 0, 1, 1, 2) if n else (1, 1, 0, 1, 0, 1)
+
+
+def _laguerre_ratios(D, A, n):
+    return (-(n + 1), 1, 2 * n * D + A + D, D, -(n * D + A) if n else 0, D)
+
+
+def _jacobi_ratios(D, A, B, n):
+    if n == 0:
+        return (2 * D, A + B + 2 * D, B - A, A + B + 2 * D, 0, 1)
+    S = 2 * n * D + A + B  # D (2n + alpha + beta)
+    return (
+        2 * (n + 1) * (n * D + A + B + D) * D, (S + D) * (S + 2 * D),
+        (B - A) * (B + A), S * (S + 2 * D),
+        2 * (n * D + A) * (n * D + B), S * (S + D),
+    )
+
+
+def _quadrature_band(f: Family):
+    """(ratios, ratio, typed) of a Jacobi, Laguerre, Hermite or Chebyshev T
+    family: its band ratios as a function of n, the division that makes a
+    coefficient of a ratio (Fraction for exact parameters, else true
+    division), and whether whole coefficients the parameters enter keep the
+    parameters' type (Jacobi takes integer parameters as Fractions).
+
+    Exact parameters are read once, as integer numerators over their least
+    common denominator D, so an index costs a few integer products and forms
+    no Fraction.  Float parameters stand for themselves with D = 1, which
+    makes each ratio the float expression of the textbook formula bit for bit
+    (a product with 1 and a division by 1 are exact).
+    """
+    k = f.kind
+    if k is FamilyKind.HERMITE:
+        return _hermite_ratios, Fraction, False
+    if k is FamilyKind.CHEBYSHEV_T:
+        return _chebyshev_ratios, Fraction, False
+    if f.params_exact():  # ints and Fractions alike carry numerator and denominator
+        D = math.lcm(*(int(p.denominator) for p in f.params))
+        nums = [int(p.numerator) * (D // int(p.denominator)) for p in f.params]
+        ratio = Fraction
+    else:
+        D, nums, ratio = 1, [float(p) for p in f.params], operator.truediv
+    typed = k is FamilyKind.JACOBI or not isinstance(f.params[0], numbers.Integral)
+    return partial(_laguerre_ratios if k is FamilyKind.LAGUERRE else _jacobi_ratios, D, *nums), ratio, typed
+
+
 def recurrence_coeffs(f: Family, n: int):
     """Coefficients (u_n, v_n, w_n) with x phi_n = u phi_{n+1} + v phi_n + w phi_{n-1}.
 
@@ -284,29 +351,16 @@ def recurrence_coeffs(f: Family, n: int):
     if tr is not None and n >= tr:
         raise FamilyTruncationError(f"{f.kind.value} recurrence stops before n = {tr}")
     k = f.kind
-    if k is FamilyKind.CHEBYSHEV_T:
-        half = Fraction(1, 2)
-        return (1, 0, 0) if n == 0 else (half, 0, half)
-    if k is FamilyKind.HERMITE:
-        return (Fraction(1, 2), 0, n)
+    if k in _QUADRATURE_KINDS:
+        ratios, ratio, typed = f._band
+        nu, du, nv, dv, nw, dw = ratios(n)
+        u = ratio(nu, du) if du != 1 or k is FamilyKind.JACOBI else nu
+        v = ratio(nv, dv) if dv != 1 or typed else nv
+        return (u, v, ratio(nw, dw) if n and (dw != 1 or typed) else nw)
     if k is FamilyKind.MONOMIAL:
         return (1, 0, 0)
-    if k is FamilyKind.LAGUERRE:
-        alpha = f.params[0]
-        return (-(n + 1), 2 * n + alpha + 1, -(n + alpha) if n else 0)
     mode = resolve_mode(None, f.params_exact())
     p = tuple(to_mode(v, mode) for v in f.params)  # int / int would be a float
-    if k is FamilyKind.JACOBI:
-        alpha, beta = p
-        s = 2 * n + alpha + beta
-        if n == 0:
-            u = 2 / (alpha + beta + 2)
-            v = (beta - alpha) / (alpha + beta + 2)
-            return (u, v, 0)
-        u = 2 * (n + 1) * (n + alpha + beta + 1) / ((s + 1) * (s + 2))
-        v = (beta - alpha) * (beta + alpha) / (s * (s + 2))
-        w = 2 * (n + alpha) * (n + beta) / (s * (s + 1))
-        return (u, v, w)
     if k is FamilyKind.BESSEL:
         _check_bessel(f, n)
         a, b = p
@@ -425,14 +479,21 @@ def bochner_residual(f: Family, n: int, samples):
     its rounding scale, the sum of |c_j| |s|^j over the coefficients of the terms.
 
     The derivatives come from the recurrence-generated coefficient
-    polynomial, so the residual is exact in EXACT mode.  It is NaN where it
-    or its scale leaves the float range.
+    polynomial, so the residual is exact in EXACT mode.  In FLOAT mode the
+    terms are first scaled by the power of two that brings their largest
+    coefficient into [1/2, 1): the ratio is unchanged, and a scale near the
+    float maximum no longer overflows.  It is NaN where a term coefficient,
+    or the residual or scale at a sample, still leaves the float range.
     """
     modes = {scalar_mode(s) for s in samples}
     mode = resolve_mode(None, Mode.FLOAT not in modes and f.params_exact())
     A, B, lam = bochner_ode(f, mode)
     phi = family_polynomial(f, n, mode)
     terms = (A * phi.derivative().derivative(), B * phi.derivative(), phi * lam(n))
+    if mode is Mode.FLOAT:
+        top = max((abs(c) for t in terms for c in t.coeffs), default=0.0)
+        unit = math.ldexp(1.0, -math.frexp(top)[1])  # 1.0 for a top of 0, inf or NaN
+        terms = tuple(t * unit for t in terms)
     residual = terms[0] + terms[1] + terms[2]
     scale = sum((Polynomial([abs(c) for c in t.coeffs], mode) for t in terms), Polynomial.zero(mode))
     worst = to_mode(0, mode)
@@ -610,17 +671,23 @@ def family_jacobi_operator(f: Family):
 
     Off-diagonal entries a_n = sqrt(u_n w_{n+1}) from the family recurrence;
     diagonal b_n = v_n.  Feed this to the Gauss quadrature construction.
+    For exact parameters each coefficient is one int true division, which is
+    correctly rounded like ``float`` of the Fraction ``recurrence_coeffs``
+    returns, so the entries are those floats bit for bit.
     """
     mass = weight_mass(f)
-    coeffs = cache(lambda n: recurrence_coeffs(f, n))  # each index read once per operator
+    ratios = cache(f._band[0])  # each index read once per operator
 
     def a(n: int) -> float:
-        prod = float(coeffs(n)[0]) * float(coeffs(n + 1)[2])
+        nu, du = ratios(n)[:2]
+        nw, dw = ratios(n + 1)[4:]
+        prod = nu / du * (nw / dw)
         if prod <= 0:
             raise ValidationError("recurrence product u_n * w_{n+1} not positive")
         return math.sqrt(prod)
 
     def b(n: int) -> float:
-        return float(coeffs(n)[1])
+        _, _, nv, dv, _, _ = ratios(n)
+        return nv / dv
 
     return JacobiOperator(a=a, b=b), mass

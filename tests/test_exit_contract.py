@@ -149,9 +149,9 @@ def reject_constant(name):
         # a float identity whose rounding alone exceeds --residual-tol
         ["--mode", "float", "morse", "--b", "129/4", "--identity", "3"],
         # --bochner past the float range, which once read 0.0: H_300 has
-        # infinite coefficients, and the residuals are NaN from n = 255 for
-        # Hermite and from n = 136 for bessel:3,2, where the sum of the
-        # term magnitudes that scales them overflows
+        # infinite coefficients, and the residuals are NaN from n = 261 for
+        # Hermite and from n = 149 for bessel:3,2, where a coefficient of
+        # A phi_n'' is infinite
         ["families", "--family", "hermite", "--n", "300", "--bochner"],
         ["families", "--family", "bessel:3,2", "--n", "150", "--bochner"],
     ],

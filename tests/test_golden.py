@@ -12,7 +12,9 @@ sha256 of its exit status and stdout.  Most were drawn once from the
 seeded ``cli-pipelines`` decks of the benchmark (seed 1, every command but
 the Parseval integrals); the rest were added by hand: float ``tridiag``
 with and without ``--q``, the ``families --eval`` and ``--bochner`` paths,
-and the failing argv of ``test_exit_contract.py``.
+the failing argv of ``test_exit_contract.py``, Gauss rules up to n = 256
+(n = 1000 for Legendre) and ``families --recurrence`` for every family
+kind, in p/q and in decimal spelling.
 ``PYTHONPATH=src python tests/test_golden.py --corpus`` rewrites the
 digests and prints each argv whose digest moved (or "no digest moved").
 """

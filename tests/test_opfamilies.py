@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -429,7 +430,7 @@ class TestBochner:
 
     @pytest.mark.parametrize("f, n", [(Family.bessel(3.0, 2.0), 150), (Family.hermite(), 261)])
     def test_residual_past_the_float_range_is_nan(self, f, n):
-        # finite coefficients whose residual overflows to inf - inf: NaN, not 0.0
+        # phi_n is finite, but a coefficient of A phi_n'' is not: NaN, not 0.0
         assert math.isnan(bochner_residual(f, n, [-0.9, -0.3, 0.4, 1.7]))
 
     def test_discrete_families_rejected(self):
@@ -455,10 +456,12 @@ class TestBochner:
         assert type(bochner_residual(Family.hermite(), 7, [F(1, 3), F(-5, 2)])) is F
         assert bochner_residual(Family.chebyshev_t(), 0, self.CLI_SAMPLES) == 0.0
 
-    def test_residual_whose_scale_overflows_is_nan(self):
-        # the residual of H_258 is finite (about 1e296 at 1.7), but the sum of
-        # its term magnitudes overflows, which would read any residual as 0
-        assert math.isnan(bochner_residual(Family.hermite(), 258, self.CLI_SAMPLES))
+    def test_residual_whose_scale_overflowed_is_at_rounding_level(self):
+        # the sum of the term magnitudes of H_258 (largest term coefficient
+        # 2.3e305) and of bessel(3, 2)_145 (7.1e298) overflows unless the terms
+        # are scaled first; scaled, they read 6.2e-17 and 4.7e-17
+        for f, n in ((Family.hermite(), 258), (Family.bessel(3, 2), 145)):
+            assert bochner_residual(f, n, self.CLI_SAMPLES) <= 1e-15
 
 
 class TestStructureRelation:
@@ -673,3 +676,83 @@ def test_family_jacobi_operator_mass():
     assert abs(mass - math.pi) <= 1e-15
     rule = jacspec.golub_welsch(J, 6, mass)
     assert abs(float(np.sum(rule.weights)) - math.pi) <= 1e-12
+
+
+def jacobi_uvw(n, a, b):
+    """(U_n, V_n, W_n) of the Jacobi recurrence, as Fractions for Fraction a, b."""
+    s = 2 * n + a + b
+    if n == 0:
+        return 2 / (a + b + 2), (b - a) / (a + b + 2), 0
+    return (
+        2 * (n + 1) * (n + a + b + 1) / ((s + 1) * (s + 2)),
+        (b - a) * (b + a) / (s * (s + 2)),
+        2 * (n + a) * (n + b) / (s * (s + 1)),
+    )
+
+
+def laguerre_uvw(n, a):
+    return -(n + 1), 2 * n + a + 1, -(n + a) if n else 0
+
+
+def textbook_jacobi_matrix(kind, params, n):
+    """(diagonal, squared off-diagonal) entry n of the orthonormal Jacobi matrix:
+    the monic recurrence coefficients (Gautschi, *Orthogonal Polynomials*, 2004)."""
+    if kind is FamilyKind.LAGUERRE:
+        (a,) = params
+        return 2 * n + a + 1, (n + 1) * (n + 1 + a)
+    a, b = params
+    k, s = n + 1, 2 * n + a + b
+    diag = (b - a) / (a + b + 2) if n == 0 else (b * b - a * a) / (s * (s + 2))
+    if k == 1:  # (1 + a + b) cancelled
+        return diag, 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
+    t = 2 * k + a + b
+    return diag, 4 * k * (k + a) * (k + b) * (k + a + b) / (t * t * (t + 1) * (t - 1))
+
+
+def band_oracle_cases():
+    rng = random.Random(20)
+    cases = []
+    while len(cases) < 30:
+        a, b = (F(rng.randint(-9, 40), rng.randint(1, 12)) for _ in range(2))
+        if a > -1 and b > -1:
+            cases.append((a, b, rng.randint(2, 300)))
+    return cases
+
+
+def pq(r):
+    """The p/q spelling of a Fraction, "2/1" for an integer value."""
+    return f"{r.numerator}/{r.denominator}"
+
+
+@pytest.mark.parametrize("a, b, n", band_oracle_cases())
+def test_band_equals_the_fraction_formulas(a, b, n):
+    # p/q spelling: b_n = float(V_n) and a_n = sqrt(float(U_n) float(W_{n+1})),
+    # U_n W_{n+1} and V_n the textbook Jacobi matrix; decimal spelling: the
+    # same formulas in floats, bit for bit
+    for spec, formula, params in (
+        (f"jacobi:{pq(a)},{pq(b)}", jacobi_uvw, (a, b)),
+        (f"laguerre:{pq(a)}", laguerre_uvw, (a,)),
+        (f"jacobi:{float(a)!r},{float(b)!r}", jacobi_uvw, (float(a), float(b))),
+        (f"laguerre:{float(a)!r}", laguerre_uvw, (float(a),)),
+    ):
+        fam = Family.parse(spec)
+        J, _ = family_jacobi_operator(fam)
+        uvw = [formula(k, *params) for k in range(n + 1)]
+        for k in range(n):
+            (u, v, w), w_next = uvw[k], uvw[k + 1][2]
+            assert same_values_and_types(recurrence_coeffs(fam, k), uvw[k]), (spec, k)
+            assert J.b(k) == float(v), (spec, k)
+            assert J.a(k) == math.sqrt(float(u) * float(w_next)), (spec, k)
+            if isinstance(params[0], F):
+                assert (v, u * w_next) == textbook_jacobi_matrix(fam.kind, params, k), (spec, k)
+
+
+def test_parameter_free_bands():
+    for fam, a2 in ((Family.hermite(), lambda k: F(k + 1, 2)),
+                    (Family.chebyshev_t(), lambda k: F(1, 2) if k == 0 else F(1, 4))):
+        J, _ = family_jacobi_operator(fam)
+        for k in range(300):
+            u, v, _ = recurrence_coeffs(fam, k)
+            assert J.b(k) == v == 0
+            assert u * recurrence_coeffs(fam, k + 1)[2] == a2(k)
+            assert J.a(k) == math.sqrt(float(a2(k)))
