@@ -153,6 +153,13 @@ def _parse_scalar_arg(text: str, mode: str, flag: str):
     return exact if mode == "exact" else value
 
 
+def _within_residual_tol(worst: float, tol: float, what: str) -> None:
+    """The exit rule of the residual ratios a report prints: one above
+    --residual-tol, or NaN, is a ValidationError (exit 1)."""
+    if not worst <= tol:
+        raise ValidationError(f"{what}: residual {worst:.3e} over its rounding scale is not within --residual-tol {tol:g}")
+
+
 def _cmd_tridiag(args) -> int:
     mode = Mode(args.mode)
     A = parse_polynomial(args.A, mode)
@@ -221,12 +228,12 @@ def _cmd_morse(args) -> int:
         grid = morse.DEFAULT_SAMPLE_GRID
         if args.grid is not None:
             grid = tuple(float(_parse_scalar_arg(tok, args.mode, "--grid")) for tok in args.grid.split(","))
-        worst = max(morse.action_residual(model, k, samples=grid) for k in range(args.residual + 1))
+        worst = float(np.max([morse.action_residual(model, k, samples=grid) for k in range(args.residual + 1)]))
+        _within_residual_tol(worst, args.residual_tol, f"--residual {args.residual} at b = {args.b}")
         report["results"]["action_residual"] = {
             "n_max": args.residual,
             "grid": list(grid),
             "max_residual": worst,
-            "within_tolerance": worst <= args.residual_tol,
         }
     _emit(report, args, csv_rows)
     return 0
@@ -249,15 +256,14 @@ def _cmd_lame(args) -> int:
     csv_rows = None
     if args.spectrum:
         spec = lame.even_spectrum(model)
+        residuals = lame.even_eigenfunction_residual(spec, model)
+        _within_residual_tol(float(np.max(residuals)), args.residual_tol, f"--spectrum at m = {args.m}")
         report["results"]["even_spectrum"] = {
             "k": spec.k,
             "matrix": [list(row) for row in spec.matrix],
             "eigenvalues": list(spec.eigenvalues),
-            "root_eigenvalues": list(spec.root_eigenvalues),
             "pcoeffs": spec.pcoeffs,
-            "ode_residuals": [
-                lame.even_eigenfunction_residual(spec, model, i) for i in range(spec.k + 1)
-            ],
+            "ode_residuals": residuals,
         }
         csv_rows = [(v,) for v in spec.eigenvalues]
     if args.residuals is not None:

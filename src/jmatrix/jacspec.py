@@ -275,6 +275,30 @@ def eig_block(J: JacobiOperator, block: tuple[int, int]) -> SpectrumResult:
     return SpectrumResult(w, V, block)
 
 
+def _sturm_count(diag: Sequence[float], off: Sequence[float], xs) -> np.ndarray:
+    """Number of eigenvalues below each x of ``xs`` of the symmetric tridiagonal
+    matrix with diagonal ``diag`` and off-diagonal ``off``.
+
+    By Sylvester's law of inertia it is the number of negative pivots of the
+    LDL^T factorization of J - x I, q_0 = d_0 - x and
+    q_i = d_i - x - off_{i-1}^2 / q_{i-1}, formed for every x at once.  A
+    pivot smaller in size than ``pivmin`` is replaced by -pivmin, as in
+    Barth, Martin & Wilkinson, *Numer. Math.* 9 (1967), so no division is by
+    zero and no pivot overflows.  It shares no code with LAPACK.
+    """
+    d = np.asarray(diag, dtype=float)
+    e2 = np.square(np.asarray(off, dtype=float))
+    xs = np.asarray(xs, dtype=float)
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
+    count = np.zeros(xs.shape, dtype=int)
+    q = np.inf  # so that the first pivot is d_0 - x
+    for i in range(d.size):
+        q = d[i] - xs - (e2[i - 1] if i else 0.0) / q
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        count += q < 0
+    return count
+
+
 def _recurrence(coeffs, x, n_max: int, each=None) -> list:
     """p_0(x) .. p_{n_max}(x) of x p_n = u_n p_{n+1} + v_n p_n + w_n p_{n-1}.
 

@@ -18,12 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from . import jacspec, opfamilies
 from .errors import InternalConsistencyError, ValidationError
 from .jacspec import BoundednessReport, JacobiOperator
 from .opfamilies import Family
-from .polycore import Mode, Polynomial, derivative_op, read_scalar, resolve_mode, second_derivative_op, to_mode
+from .polycore import (
+    Mode, Polynomial, derivative_op, read_scalar, residual_ratio, resolve_mode, second_derivative_op, to_mode,
+)
 from .tdop import TDOperator, validate_td
 
 __all__ = [
@@ -183,16 +186,14 @@ class LameEvenSpectrum:
     """Finite spectrum data for even integer m = 2k.
 
     ``matrix`` is the (k+1)-square coefficient-space matrix whose rows give
-    E P_n in terms of P_{n-1}, P_n, P_{n+1}; ``eigenvalues`` come from the
-    dense eigensolve, ``root_eigenvalues`` from the zeros of the generated
-    P_{k+1}; ``pcoeffs[i]`` holds the expansion coefficients (P_0..P_k) of
-    the i-th eigenfunction over T_0..T_k, normalized to P_0 = 1.
+    E P_n in terms of P_{n-1}, P_n, P_{n+1}; ``eigenvalues`` ascend;
+    ``pcoeffs[i]`` holds the expansion coefficients (P_0..P_k) of the i-th
+    eigenfunction over T_0..T_k, normalized to P_0 = 1.
     """
 
     k: int
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    root_eigenvalues: np.ndarray
     pcoeffs: list[list[float]]
 
 
@@ -203,16 +204,19 @@ _MAX_EVEN_K = 1000
 def even_spectrum(model: LameModel) -> LameEvenSpectrum:
     """Spectrum of the operator restricted to span{T_0, ..., T_k}, m = 2k.
 
-    Eigenvalues are computed two ways and must agree to 1e-9: (i) the
-    symmetric QL eigensolve of the diagonally symmetrized matrix (every
-    product of paired off-diagonals is positive for even m, whatever alpha),
-    and (ii) the roots of the polynomial P_{k+1} generated by the
-    coefficient recurrence from P_0 = 1.
+    The eigenpairs are ``jacspec.eig_block`` (LAPACK) of the diagonally
+    symmetrized block (every product of paired off-diagonals is positive for
+    even m, whatever alpha).  Each eigenvalue lambda_i is then checked by
+    Sturm counts on the same band, which share no code with LAPACK: exactly
+    i eigenvalues lie below lambda_i - 1e-10 scale and i + 1 below
+    lambda_i + 1e-10 scale, scale = max(1, max |lambda|).
 
     Raises:
-        ValidationError: m is not an even nonnegative integer, or m > 2000.
-        InternalConsistencyError: the two methods disagree, or the spectrum
-            is not simple.
+        ValidationError: m is not an even nonnegative integer, or m > 2000;
+            or an eigenvector cannot be normalized to P_0 = 1 in floats (its
+            first component is 0, or the quotients leave the float range).
+        InternalConsistencyError: the Sturm counts do not bracket the
+            eigenvalues, or the spectrum is not simple.
     """
     m_ex = model.m_exact if model.is_exact else Fraction(model.m)
     if m_ex.denominator != 1 or m_ex < 0 or m_ex % 2 != 0:
@@ -222,9 +226,10 @@ def even_spectrum(model: LameModel) -> LameEvenSpectrum:
         raise ValidationError(f"m = {float(m_ex):g} asks for a block beyond {_MAX_EVEN_K + 1} rows")
     # Row n of the matrix gives E P_n = lower_{n+1} P_{n+1} + diag_n P_n + upper_{n-1} P_{n-1}.
     upper, diag, lower = zip(*(cheb_tridiag_coeffs(model, n, Mode.FLOAT) for n in range(k + 2)))
+    diag = diag[: k + 1]
     mat = np.zeros((k + 1, k + 1))
     idx = np.arange(k + 1)
-    mat[idx, idx] = diag[: k + 1]
+    mat[idx, idx] = diag
     mat[idx[:-1], idx[1:]] = lower[1 : k + 1]
     mat[idx[1:], idx[:-1]] = upper[:k]
 
@@ -234,67 +239,61 @@ def even_spectrum(model: LameModel) -> LameEvenSpectrum:
     # factors, (2i+2+m)(2i+1-m)/8 and (2i-m)(2i+m+1)/8, are negative.  So the
     # matrix is diagonally similar to a symmetric one and eig_block applies.
     off = [math.sqrt(lower[i + 1] * upper[i]) for i in range(k)]
-    solved = jacspec.eig_block(JacobiOperator.from_sequences(off, diag[: k + 1]), (0, k + 1))
+    solved = jacspec.eig_block(JacobiOperator.from_sequences(off, diag), (0, k + 1))
     eigs = solved.eigenvalues
+    width = 1e-10 * max(1.0, float(np.max(np.abs(eigs))))
+    below = jacspec._sturm_count(diag, off, np.concatenate([eigs - width, eigs + width]))
+    if not np.array_equal(below, np.concatenate([idx, idx + 1])):
+        raise InternalConsistencyError(f"m = {float(m_ex):g}: Sturm counts do not bracket the block eigenvalues")
+
     # undo the diagonal similarity: columns of diag(d) @ U solve the original matrix
     d = np.ones(k + 1)
     for i in range(k):
         d[i + 1] = d[i] * off[i] / lower[i + 1]
     vecs = d[:, None] * solved.eigenvectors
-
-    # independent route: zeros of the generated P_{k+1}
-    p_next = opfamilies._poly_by_recurrence(
-        [Polynomial.one(Mode.FLOAT)], k + 1, lambda n: (lower[n + 1], diag[n], upper[n - 1] if n else 0.0)
-    )
-    roots = np.sort(np.roots(list(reversed(p_next.coeffs))).real)
-
-    scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 1.0)
-    if eigs.size != k + 1 or roots.size != k + 1:
-        raise InternalConsistencyError("eigenvalue count mismatch")
-    if np.max(np.abs(eigs - roots)) > 1e-9 * scale:
-        raise InternalConsistencyError("dense eigensolve and recurrence roots disagree")
-
-    pcoeffs = []
-    for i in range(k + 1):
-        v = vecs[:, i]
-        if v[0] == 0.0:
-            raise InternalConsistencyError("eigenvector with vanishing first component")
-        # eig_block's sign canonicalization cancels in this ratio
-        pcoeffs.append([float(c) for c in v / v[0]])
-    return LameEvenSpectrum(k=k, matrix=mat, eigenvalues=eigs, root_eigenvalues=roots, pcoeffs=pcoeffs)
+    first = vecs[0]
+    vanished = np.flatnonzero(first == 0.0)
+    if vanished.size:
+        raise ValidationError(
+            f"m = {float(m_ex):g}: eigenpair {vanished[0]} has first component 0.0 in floats, so it cannot take P_0 = 1")
+    with np.errstate(over="ignore"):
+        pcoeffs = vecs / first  # eig_block's sign canonicalization cancels in this ratio
+    if not np.isfinite(pcoeffs).all():
+        raise ValidationError(f"m = {float(m_ex):g}: eigenfunction coefficients with P_0 = 1 leave the float range")
+    return LameEvenSpectrum(k=k, matrix=mat, eigenvalues=eigs, pcoeffs=pcoeffs.T.tolist())
 
 
-def even_eigenfunction_residual(
-    spec: LameEvenSpectrum, model: LameModel, which: int, samples=None
-) -> float:
-    """Max relative residual of the x-variable equation for one eigenpair.
+def even_eigenfunction_residual(spec: LameEvenSpectrum, model: LameModel, samples=None) -> list[float]:
+    """Residual of the x-variable equation for every eigenpair, over its rounding scale.
 
-    The eigenfunction psi(y) = sum_n P_n T_n(y) is mapped back through
-    x = a y + b, and A f'' + B f' - (m(m+1) x + E_x) f / 4 is evaluated at
-    the samples.  The spectral parameter in the x variable picks up the
-    affine scale: E_x = 4 a E for the stored eigenvalue E of the normalized
-    operator.
+    The eigenfunction psi(y) = sum_n P_n T_n(y), with x = a y + b, must solve
+    A f'' + B f' - (m(m+1) x + E_x) f / 4 = 0 at the samples; the spectral
+    parameter in the x variable picks up the affine scale, E_x = 4 a E for
+    the stored eigenvalue E of the normalized operator.  psi, psi' and psi''
+    are Clenshaw sums in the Chebyshev basis.  The rounding scale is
+    sum_n |P_n| (|A| |T_n''| / a^2 + |B| |T_n'| / |a| + |S| |T_n|), where |S|
+    takes the block's largest |E|, so that an eigenvalue at 0 keeps a scale.
+    Entry i is ``polycore.residual_ratio`` of eigenpair i over the samples.
     """
-    if not 0 <= which <= spec.k:
-        raise ValidationError("eigenpair index out of range")
     if samples is None:
         samples = (model.e[2] + 0.5, 0.0, 2.0)
-    psi = Polynomial.zero(Mode.FLOAT)
-    for n, c in enumerate(spec.pcoeffs[which]):
-        psi = psi + chebyshev_poly(n, Mode.FLOAT) * c
-    f = psi.shift_affine(1.0 / model.a_affine, -model.b_affine / model.a_affine)
+    x = np.array([float(s) for s in samples])
+    a = model.a_affine
+    y = (x - model.b_affine) / a
     op = algebraic_operator(model, Mode.FLOAT)
-    e_x = 4.0 * model.a_affine * float(spec.eigenvalues[which])
-    mm1 = model.m * (model.m + 1)
-    spectral = Polynomial((0.25 * e_x, 0.25 * mm1), Mode.FLOAT)
-    terms = (op.A * f.derivative().derivative(), op.B * f.derivative(), spectral * f)
-    residual = terms[0] + terms[1] - terms[2]
-    worst = 0.0
-    for x in samples:
-        x = float(x)
-        scale = max(1.0, *(abs(t(x)) for t in terms))
-        worst = max(worst, abs(residual(x)) / scale)
-    return worst
+    A, B = (np.array([poly(s) for s in x.tolist()]) for poly in (op.A, op.B))
+    quarter_mm1_x = 0.25 * model.m * (model.m + 1) * x
+    E = spec.eigenvalues
+    P = np.array(spec.pcoeffs).T  # column i: the coefficients of eigenpair i
+    with np.errstate(all="ignore"):  # values beyond the float range make NaN ratios
+        # psi^(j)(x) by Clenshaw, row i for eigenpair i and |T_n^(j)(y)|, row
+        # n: column n of the identity holds the coefficients of T_n
+        psi, dpsi, ddpsi = (chebyshev.chebval(y, chebyshev.chebder(P, j)) / a**j for j in range(3))
+        t0, t1, t2 = (np.abs(chebyshev.chebval(y, chebyshev.chebder(np.eye(spec.k + 1), j))) for j in range(3))
+        residual = A * ddpsi + B * dpsi - (a * E[:, None] + quarter_mm1_x) * psi
+        spectral = abs(a) * np.max(np.abs(E)) + np.abs(quarter_mm1_x)
+        scale = np.abs(P).T @ (np.abs(A) / a**2 * t2 + np.abs(B) / abs(a) * t1 + spectral * t0)
+    return [residual_ratio(r, s) for r, s in zip(residual.tolist(), scale.tolist())]
 
 
 def _orthonormal_k(m: float) -> int:

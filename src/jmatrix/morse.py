@@ -29,7 +29,9 @@ from .errors import InternalConsistencyError, ValidationError
 from .gammafn import gammaln_real
 from .jacspec import JacobiOperator, SpectrumResult, _recurrence, _recurrence_log
 from .opfamilies import Family, FamilyOverflowError, pochhammer, recurrence_coeffs
-from .polycore import Mode, Polynomial, derivative_op, read_scalar, resolve_mode, second_derivative_op, to_mode
+from .polycore import (
+    Mode, Polynomial, derivative_op, read_scalar, residual_ratio, resolve_mode, second_derivative_op, to_mode,
+)
 from .tdop import TDOperator, validate_td
 
 __all__ = [
@@ -248,7 +250,9 @@ def eval_basis_log(model: MorseModel, n: int, x: float) -> tuple[float, float]:
 
 
 def action_residual(model: MorseModel, n: int, samples=DEFAULT_SAMPLE_GRID) -> float:
-    """Max over samples of |(-y_n'' + q y_n) - (a_n y_{n+1} + d_n y_n + a_{n-1} y_{n-1})|.
+    """Max over samples of |(-y_n'' + q y_n) - (a_n y_{n+1} + d_n y_n + a_{n-1} y_{n-1})|
+    over its rounding scale, the sum of the five terms' absolute values
+    (``polycore.residual_ratio``).
 
     The second derivative is assembled analytically from the Laguerre
     derivative relation through the chain rule (no numerical
@@ -259,16 +263,21 @@ def action_residual(model: MorseModel, n: int, samples=DEFAULT_SAMPLE_GRID) -> f
     b, N, alpha = model.b, model.N, model.alpha
     p = b - N + 0.5
     laguerre = _laguerre_coeffs(model)
-    # norms of y_{n-1}, y_n, y_{n+1}; y_{-1} = 0
-    norm_prev, norm_n, norm_next = (0.0 if j < 0 else math.exp(_log_norm(model, j)) for j in (n - 1, n, n + 1))
-    worst = 0.0
+    # The ratio does not see a positive factor common to all five terms, so
+    # each sample drops norm_n phi(x) (y_j = norm_j phi L_j) and the largest
+    # of |L_{n-2}| .. |L_{n+1}|: where y_n underflows, or L_{n+1} overflows,
+    # the terms stay in the float range.
+    log_norm = _log_norm(model, n)
+    rel_prev = 0.0 if n == 0 else math.exp(_log_norm(model, n - 1) - log_norm)
+    rel_next = math.exp(_log_norm(model, n + 1) - log_norm)
+    residuals, scales = [], []
     for x in samples:
         x = float(x)
         z = 2.0 * b * math.exp(-x)
         # L_{n-2} .. L_{n+1} at z, zero below index 0
-        l_prev2, l_prev, l_n, l_next = ([0.0, 0.0] + _recurrence(laguerre, z, n + 1))[-4:]
-        phi = math.exp(-p * x - 0.5 * z)
-        y_prev, y_n, y_next = norm_prev * phi * l_prev, norm_n * phi * l_n, norm_next * phi * l_next
+        tail = ([(0.0, -math.inf)] * 2 + _recurrence_log(laguerre, z, n + 1))[-4:]
+        top = max(log for _, log in tail)
+        l_prev2, l_prev, l_n, l_next = (sign * math.exp(log - top) for sign, log in tail)
         # y_n'' through L' relations: d/dx L_j(z(x)) = -j L_j + (j + alpha) L_{j-1}
         g = (0.5 * z - p - n) * l_n + (n + alpha) * l_prev
         g_prime = (
@@ -276,11 +285,16 @@ def action_residual(model: MorseModel, n: int, samples=DEFAULT_SAMPLE_GRID) -> f
             + (0.5 * z - p - n) * (-n * l_n + (n + alpha) * l_prev)
             + (n + alpha) * (-(n - 1) * l_prev + (n + alpha - 1) * l_prev2)
         )
-        ypp = norm_n * phi * ((0.5 * z - p) * g + g_prime)
-        lhs = -ypp + model.potential(x) * y_n
-        rhs = _offdiag(model, n) * y_next + _diag(model, n) * y_n + _offdiag(model, n - 1) * y_prev
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        terms = (
+            -((0.5 * z - p) * g + g_prime),
+            model.potential(x) * l_n,
+            -_offdiag(model, n) * rel_next * l_next,
+            -_diag(model, n) * l_n,
+            -_offdiag(model, n - 1) * rel_prev * l_prev,
+        )
+        residuals.append(sum(terms))
+        scales.append(sum(map(abs, terms)))
+    return residual_ratio(residuals, scales)
 
 
 def _dual_hahn_column(model: MorseModel, mlevel: int, alpha, one) -> list:

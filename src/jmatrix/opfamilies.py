@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ValidationError
 from .gammafn import gammaln_real, loggamma
 from .jacspec import JacobiOperator, _recurrence, _recurrence_log
-from .polycore import Mode, Polynomial, _parse_scalar, resolve_mode, scalar_mode, to_mode
+from .polycore import Mode, Polynomial, read_token, residual_ratio, resolve_mode, scalar_mode, to_mode
 
 __all__ = [
     "FamilyKind",
@@ -168,7 +168,7 @@ class Family:
             kind = FamilyKind(name.lower())
         except ValueError:
             raise ValidationError(f"unknown family {name!r}") from None
-        params = tuple(_parse_scalar(tok) for tok in rest.split(",")) if rest else ()
+        params = tuple(read_token(tok) for tok in rest.split(",")) if rest else ()
         return cls(kind, params)
 
     def spec_string(self) -> str:
@@ -305,6 +305,11 @@ def _jacobi_ratios(D, A, B, n):
     )
 
 
+# The parameter-free bands have one non-integer ratio, 1/2: it is built once,
+# not on every recurrence_coeffs call.
+_constant_ratio = cache(Fraction)
+
+
 def _quadrature_band(f: Family):
     """(ratios, ratio, typed) of a Jacobi, Laguerre, Hermite or Chebyshev T
     family: its band ratios as a function of n, the division that makes a
@@ -320,9 +325,9 @@ def _quadrature_band(f: Family):
     """
     k = f.kind
     if k is FamilyKind.HERMITE:
-        return _hermite_ratios, Fraction, False
+        return _hermite_ratios, _constant_ratio, False
     if k is FamilyKind.CHEBYSHEV_T:
-        return _chebyshev_ratios, Fraction, False
+        return _chebyshev_ratios, _constant_ratio, False
     if f.params_exact():  # ints and Fractions alike carry numerator and denominator
         D = math.lcm(*(int(p.denominator) for p in f.params))
         nums = [int(p.numerator) * (D // int(p.denominator)) for p in f.params]
@@ -496,18 +501,8 @@ def bochner_residual(f: Family, n: int, samples):
         terms = tuple(t * unit for t in terms)
     residual = terms[0] + terms[1] + terms[2]
     scale = sum((Polynomial([abs(c) for c in t.coeffs], mode) for t in terms), Polynomial.zero(mode))
-    worst = to_mode(0, mode)
-    for s in samples:
-        s = to_mode(s, mode)
-        val = abs(residual(s))
-        if val:  # a scale that overflowed would read any residual as 0
-            bound = scale(abs(s))
-            val = val / bound if bound < math.inf else math.nan
-        if val != val:  # NaN: a residual that cannot be formed, not one to skip
-            return val
-        if val > worst:
-            worst = val
-    return worst
+    samples = [to_mode(s, mode) for s in samples]
+    return residual_ratio((residual(s) for s in samples), (scale(abs(s)) for s in samples))
 
 
 def asc_relation(f: Family, n: int):

@@ -15,7 +15,10 @@ reads a model input into its float value and, when it is rational, its exact
 Fraction (rejecting what is not finite as a float); ``resolve_mode`` maps a
 ``mode`` argument to a Mode (None is EXACT when rational data exist, else
 FLOAT; EXACT without them is a ValidationError); ``to_mode`` types one
-constant for a mode.
+constant for a mode.  ``read_token`` reads a coefficient or family parameter
+through ``read_scalar`` and types it by its spelling.  ``residual_ratio`` is
+the one rule by which every residual the package reports is measured: over
+the scale that rounding alone can make of it.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ __all__ = [
     "scalar_mode",
     "coerce_scalar",
     "read_scalar",
+    "read_token",
+    "residual_ratio",
     "resolve_mode",
     "to_mode",
     "derivative_op",
@@ -122,8 +127,50 @@ def read_scalar(value) -> tuple[float, Fraction | None]:
     except (ValueError, ZeroDivisionError, OverflowError):  # "nan", "abc", "1/0", 10**400
         as_float = math.nan
     if not math.isfinite(as_float):
-        raise ValidationError(f"{value!r} is not a number finite as a float")
+        raise ValidationError(f"{value!r} is not finite as a float (or not a number)")
     return as_float, exact
+
+
+def read_token(token: str):
+    """One text scalar, checked by ``read_scalar`` and typed by its spelling:
+    "p/q" is a Fraction, an integer literal an int, anything else
+    ``float(token)`` (so "-0.0" keeps its sign)."""
+    try:
+        exact = read_scalar(token)[1]
+    except ValidationError as exc:
+        raise ValidationError(f"scalar {exc}") from None
+    if "/" in token:
+        return exact
+    try:
+        return int(token)
+    except ValueError:
+        return float(token)
+
+
+def residual_ratio(residuals, scales):
+    """Max over the samples of |residual| over its rounding scale, the sum of
+    the absolute values of the terms the residual is formed from.
+
+    An exact zero residual reads 0 whatever its scale (a float scale may have
+    overflowed).  A scale that is not finite, or a NaN ratio, makes the
+    result NaN: a residual that cannot be formed is not one to skip.  The
+    arithmetic is that of the values, so Fractions give an exact ratio.
+
+    Raises:
+        ValueError: for no samples.
+    """
+    worst = None
+    for residual, scale in zip(residuals, scales, strict=True):
+        ratio = abs(residual)
+        if ratio:
+            ratio = ratio / scale if scale < math.inf else math.nan
+        if ratio != ratio:
+            return math.nan
+        if worst is None or ratio > worst:
+            worst = ratio
+    if worst is None:
+        raise ValueError("a residual ratio needs at least one sample")
+    return worst
 
 
 def resolve_mode(mode: Mode | None, rational: bool, what: str = "rational data") -> Mode:
@@ -160,26 +207,6 @@ def _typed(values, mode: Mode | None, what: str) -> tuple[list, Mode]:
     elif modes and modes != {mode}:
         raise ModeError(f"{modes.pop().value} {what} with mode={mode.value}")
     return [coerce_scalar(v, mode) for v in values], mode
-
-
-def _parse_scalar(token: str):
-    """One text scalar: "p/q" is a Fraction, an integer literal an int,
-    anything else a float.  A zero denominator or a float that is not
-    finite ("nan", "inf", "1e400") is rejected."""
-    token = token.strip()
-    if "/" in token:
-        try:
-            return Fraction(token)
-        except ZeroDivisionError:
-            raise ValidationError(f"scalar {token!r} has a zero denominator") from None
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValidationError(f"scalar {token!r} is not finite as a float")
-    return value
 
 
 def _from_zero(cs):
@@ -465,7 +492,7 @@ def parse_polynomial(text: str, mode: Mode | None = None) -> Polynomial:
     text = text.strip()
     if not text:
         return Polynomial.zero(mode or Mode.EXACT)
-    values = [_parse_scalar(tok) for tok in text.split(",")]
+    values = [read_token(tok) for tok in text.split(",")]
     return Polynomial(values, mode)
 
 

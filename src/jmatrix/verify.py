@@ -128,11 +128,12 @@ def morse_bound_states() -> CriterionResult:
 
 
 def morse_action() -> CriterionResult:
-    """Pointwise operator identity residual <= 1e-9 for n <= 8 at b = 2.25."""
+    """Pointwise operator identity, its residual over its rounding scale
+    <= 1e-12, for n <= 8 at b = 2.25."""
     t0 = time.time()
     model = morse.build_morse_model("9/4")
-    worst = max(morse.action_residual(model, n) for n in range(9))
-    return _done("morse-action", worst <= 1e-9, f"max residual {worst:.2e} (tol 1e-9)", t0)
+    worst = float(np.max([morse.action_residual(model, n) for n in range(9)]))  # NaN stays NaN
+    return _done("morse-action", worst <= 1e-12, f"max residual ratio {worst:.2e} (tol 1e-12)", t0)
 
 
 def morse_expansion() -> CriterionResult:
@@ -185,25 +186,28 @@ def lame_tridiag() -> CriterionResult:
 
 
 def lame_even_spectra() -> CriterionResult:
-    """Even-case spectra: two methods agree to 1e-9, pointwise residual <= 1e-9,
-    k+1 real simple eigenvalues, for k <= 6."""
+    """Even-case spectra for k <= 6: k+1 eigenvalues, each bracketed by Sturm
+    counts on the symmetrized matrix (i below lambda_i - 1e-10 scale, i + 1
+    below lambda_i + 1e-10 scale), and eigenfunction residuals over their
+    rounding scale <= 1e-12."""
     t0 = time.time()
-    worst_gap = 0.0
-    worst_res = 0.0
+    residuals = []
     for es in ((3, -1, -2), (5, -2, -3), (1, -1, 0)):
         for k in range(7):
             model = lame.build_lame_model(*es, 2 * k)
-            spec = lame.even_spectrum(model)  # raises if methods disagree or spectrum degenerate
-            worst_gap = max(worst_gap, float(np.max(np.abs(spec.eigenvalues - spec.root_eigenvalues))))
-            if spec.eigenvalues.size != k + 1:
-                return _done("lame-even-spectra", False, f"count != k+1 at k={k}", t0)
-            for i in range(k + 1):
-                worst_res = max(worst_res, lame.even_eigenfunction_residual(spec, model, i))
-    passed = worst_res <= 1e-9
+            spec = lame.even_spectrum(model)
+            w, mat = spec.eigenvalues, spec.matrix
+            off = np.sqrt(np.diag(mat, 1) * np.diag(mat, -1))
+            width = 1e-10 * max(1.0, float(np.max(np.abs(w))))
+            counts = jacspec._sturm_count(np.diag(mat), off, np.concatenate([w - width, w + width]))
+            if not np.array_equal(counts, np.concatenate([np.arange(k + 1), np.arange(1, k + 2)])):
+                return _done("lame-even-spectra", False, f"model {es}, k={k}: Sturm counts {counts.tolist()}", t0)
+            residuals += lame.even_eigenfunction_residual(spec, model)
+    worst_res = float(np.max(residuals))  # NaN stays NaN
     return _done(
         "lame-even-spectra",
-        passed,
-        f"method gap {worst_gap:.2e} (tol 1e-9), worst ODE residual {worst_res:.2e} (tol 1e-9), k <= 6",
+        worst_res <= 1e-12,
+        f"Sturm brackets hold, worst ODE residual ratio {worst_res:.2e} (tol 1e-12), k <= 6",
         t0,
     )
 

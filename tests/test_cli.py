@@ -72,6 +72,12 @@ class TestMorseCommand:
         ident = report["results"]["expansion_identity"]
         assert status == 0 and not ident["exact"] and ident["max_residual"] <= 1e-9
 
+    def test_residual_is_over_its_rounding_scale(self, capsys):
+        # the absolute residual read 7.9e-9 here, beyond --residual-tol, and exited 0
+        status, report = run_json(capsys, ["morse", "--b", "3999/4", "--residual", "100"])
+        res = report["results"]["action_residual"]
+        assert status == 0 and res["max_residual"] <= 1e-13 and set(res) == {"n_max", "grid", "max_residual"}
+
     def test_huge_exponent_is_usage_error(self, capsys):
         assert main(["morse", "--b", "1e-100000000", "--levels"]) == 1
         err = capsys.readouterr().err
@@ -91,6 +97,18 @@ class TestLameCommand:
         eigs = report["results"]["even_spectrum"]["eigenvalues"]
         assert len(eigs) == 2 and abs(sum(eigs)) <= 1e-12
         assert max(report["results"]["even_spectrum"]["ode_residuals"]) <= 1e-9
+
+    def test_spectrum_of_a_large_block(self, capsys):
+        # m = 60 exited 2 while P_{k+1} was cross-checked through monomials
+        status, report = run_json(capsys, ["lame", "--e", "3,-1,-2", "--m", "60", "--spectrum"])
+        spec = report["results"]["even_spectrum"]
+        assert status == 0 and len(spec["eigenvalues"]) == 31 and max(spec["ode_residuals"]) <= 1e-12
+        assert "root_eigenvalues" not in spec
+
+    def test_spectrum_residual_beyond_the_tolerance_is_an_error(self, capsys):
+        assert main(["--residual-tol", "1e-20", "lame", "--e", "3,-1,-2", "--m", "4", "--spectrum"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: --spectrum at m = 4: residual")
 
     def test_residuals_exact_zero(self, capsys):
         status, report = run_json(capsys, ["lame", "--e", "3,-1,-2", "--m", "2", "--residuals", "5"])

@@ -154,6 +154,14 @@ def reject_constant(name):
         # A phi_n'' is infinite
         ["families", "--family", "hermite", "--n", "300", "--bochner"],
         ["families", "--family", "bessel:3,2", "--n", "150", "--bochner"],
+        # an eigenvector whose first component is 0.0 cannot take P_0 = 1;
+        # the monomial cross-check once left two numpy warnings on stderr here
+        ["lame", "--e", "3,-1,-2", "--m", "200", "--spectrum"],
+        # a residual ratio above --residual-tol, which once still exited 0
+        ["--residual-tol", "1e-20", "morse", "--b", "9/4", "--residual", "3"],
+        # a decimal exponent beyond +-1000 in a coefficient or family parameter
+        ["tridiag", "--A", "0,0,0,1", "--B", "0,0,1", "--C", "0,1e-100000", "--n", "3"],
+        ["families", "--family", "laguerre:1e-100000", "--n", "2", "--recurrence"],
     ],
 )
 def test_found_cases_exit_1_with_one_line(capsys, argv):

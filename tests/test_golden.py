@@ -13,8 +13,9 @@ seeded ``cli-pipelines`` decks of the benchmark (seed 1, every command but
 the Parseval integrals); the rest were added by hand: float ``tridiag``
 with and without ``--q``, the ``families --eval`` and ``--bochner`` paths,
 the failing argv of ``test_exit_contract.py``, Gauss rules up to n = 256
-(n = 1000 for Legendre) and ``families --recurrence`` for every family
-kind, in p/q and in decimal spelling.
+(n = 1000 for Legendre), ``families --recurrence`` for every family
+kind, in p/q and in decimal spelling, ``lame --spectrum`` of blocks up to
+m = 200 and ``morse --residual`` at b = 3999/4.
 ``PYTHONPATH=src python tests/test_golden.py --corpus`` rewrites the
 digests and prints each argv whose digest moved (or "no digest moved").
 """

@@ -256,6 +256,31 @@ class TestEigBlockAgainstQL:
             eig_block(const_op(off, diag), (0, 2))
 
 
+class TestSturmCount:
+    def test_counts_match_eigvalsh(self):
+        # random symmetric tridiagonals, some with a zero off-diagonal (a
+        # reducible matrix), at random x and between consecutive eigenvalues
+        rng = np.random.default_rng(12)
+        for trial in range(60):
+            n = int(rng.integers(1, 50))
+            d = rng.uniform(-5, 5, n)
+            e = rng.uniform(-3, 3, n - 1)
+            if trial % 4 == 0 and n > 1:
+                e[rng.integers(0, n - 1)] = 0.0
+            w = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            gaps = np.diff(w)
+            xs = np.concatenate([rng.uniform(-12, 12, 40), (w[:-1] + gaps / 2), [w[0] - 1.0, w[-1] + 1.0]])
+            want = np.searchsorted(w, xs)  # eigenvalues strictly below each x
+            assert jacspec._sturm_count(d, e, xs).tolist() == want.tolist()
+
+    def test_zero_pivot(self):
+        # d_0 - x = 0 exactly: the pivot is replaced, not divided by
+        assert jacspec._sturm_count([1.0, 1.0], [1.0], [1.0, 0.5, 2.5]).tolist() == [1, 1, 2]
+
+    def test_one_by_one(self):
+        assert jacspec._sturm_count([3.0], [], [2.0, 4.0]).tolist() == [0, 1]
+
+
 class TestEvalPn:
     def test_p0_and_p1(self):
         J = const_op([2.0, 1.0], [0.5, 0.0, 0.0])

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jmatrix.errors import ValidationError
+from jmatrix import jacspec
+from jmatrix.errors import InternalConsistencyError, ValidationError
 from jmatrix.jacspec import JacobiOperator, berezanskii_test
 from jmatrix.lame import (
     algebraic_operator,
@@ -22,6 +23,17 @@ from jmatrix.lame import (
 from jmatrix.polycore import Mode, Polynomial
 
 F = Fraction
+
+
+def assert_sturm_bracket(spec):
+    """Exactly i eigenvalues of the symmetrized matrix below lambda_i - 1e-10
+    scale and i + 1 below lambda_i + 1e-10 scale."""
+    w, mat = spec.eigenvalues, spec.matrix
+    off = np.sqrt(np.diag(mat, 1) * np.diag(mat, -1))
+    width = 1e-10 * max(1.0, float(np.max(np.abs(w))))
+    idx = np.arange(w.size)
+    assert list(jacspec._sturm_count(np.diag(mat), off, w - width)) == list(idx)
+    assert list(jacspec._sturm_count(np.diag(mat), off, w + width)) == list(idx + 1)
 
 
 class TestModel:
@@ -137,7 +149,7 @@ class TestEvenSpectrum:
         assert np.allclose(spec.matrix, [[-0.75, -0.5], [-1.5, 0.75]])
         want = math.sqrt(21.0) / 4.0
         assert np.allclose(spec.eigenvalues, [-want, want], atol=1e-12)
-        assert np.allclose(spec.root_eigenvalues, spec.eigenvalues, atol=1e-9)
+        assert_sturm_bracket(spec)
 
     def test_reference_eigenfunctions(self):
         model = build_lame_model(3, -1, -2, 2)
@@ -154,11 +166,12 @@ class TestEvenSpectrum:
 
     @pytest.mark.parametrize("k", range(7))
     def test_methods_agree_and_spectrum_real_simple(self, k):
+        # LAPACK's eigenvalues against Sturm counts on the same band
         model = build_lame_model(5, -2, -3, 2 * k)
         spec = even_spectrum(model)
         assert spec.eigenvalues.size == k + 1
+        assert_sturm_bracket(spec)
         scale = max(1.0, float(np.max(np.abs(spec.eigenvalues))))
-        assert np.max(np.abs(spec.eigenvalues - spec.root_eigenvalues)) <= 1e-9 * scale
         if k:
             assert np.min(np.diff(spec.eigenvalues)) > 1e-12 * scale
 
@@ -166,9 +179,52 @@ class TestEvenSpectrum:
         for es in ((3, -1, -2), (5, -2, -3)):
             for k in (1, 2, 3, 4):
                 model = build_lame_model(*es, 2 * k)
-                spec = even_spectrum(model)
-                for i in range(k + 1):
-                    assert even_eigenfunction_residual(spec, model, i) <= 1e-9
+                residuals = even_eigenfunction_residual(even_spectrum(model), model)
+                assert len(residuals) == k + 1 and max(residuals) <= 1e-14
+
+    @pytest.mark.parametrize("m", [40, 60])
+    def test_ode_residuals_of_a_large_block(self, m):
+        # the monomial route read 1.8e-6 at m = 40 and failed from m = 50
+        model = build_lame_model(3, -1, -2, m)
+        spec = even_spectrum(model)
+        assert_sturm_bracket(spec)
+        assert max(even_eigenfunction_residual(spec, model)) <= 1e-12
+
+    def test_zero_eigenvalue_keeps_a_spectral_scale(self):
+        # alpha = 0: the spectrum is symmetric and E = 0 is an eigenvalue; a
+        # scale from |E_i| alone would read its residual as 1
+        model = build_lame_model(1, -1, 0, 4)
+        spec = even_spectrum(model)
+        assert abs(spec.eigenvalues[1]) <= 1e-14
+        assert max(even_eigenfunction_residual(spec, model)) <= 1e-14
+
+    def test_vanishing_first_component_is_a_validation_error(self):
+        # at m = 140 one eigenvector's first component is 0.0 in floats
+        with pytest.raises(ValidationError, match=r"^m = 140: eigenpair \d+ has first component 0.0"):
+            even_spectrum(build_lame_model(3, -1, -2, 140))
+
+    def test_largest_block(self):
+        # m = 2000, the cap: the Sturm bracket holds; the residuals exist for
+        # every eigenpair (NaN where a term leaves the float range)
+        model = build_lame_model(1, -1, 0, 2000)
+        spec = even_spectrum(model)
+        assert spec.k == 1000
+        assert_sturm_bracket(spec)
+        assert len(even_eigenfunction_residual(spec, model)) == 1001
+
+    def test_sturm_mutation_is_caught(self, monkeypatch):
+        # one LAPACK eigenvalue moved by 1e-6 relative leaves its Sturm bracket
+        real = jacspec.eig_block
+
+        def shifted(J, block):
+            solved = real(J, block)
+            w = solved.eigenvalues.copy()
+            w[2] += 1e-6 * max(1.0, float(np.max(np.abs(w))))
+            return dataclasses.replace(solved, eigenvalues=w)
+
+        monkeypatch.setattr(jacspec, "eig_block", shifted)
+        with pytest.raises(InternalConsistencyError, match="Sturm"):
+            even_spectrum(build_lame_model(3, -1, -2, 10))
 
     @pytest.mark.parametrize("es", [(3, -1, -2), (5, -2, -3), (1, -1, 0)])
     @pytest.mark.parametrize("k", range(7))

@@ -212,6 +212,20 @@ class TestActionResidual:
         model = build_morse_model("9/4")
         assert action_residual(model, 3, samples=(-5.0,)) <= 1e-9
 
+    def test_residual_is_relative_to_its_terms(self):
+        # the absolute residual grows with b^2 (7.9e-9 at b = 3999/4); over
+        # the sum of the five terms it stays at the rounding level
+        for b, n_max in (("9/4", 8), ("199/4", 10)):
+            model = build_morse_model(b)
+            assert max(action_residual(model, n) for n in range(n_max + 1)) <= 1e-14
+
+    def test_terms_beyond_the_float_range(self):
+        # at b = 3999/4 and x = -3, y_99 underflows while L_100(z) overflows;
+        # their product was NaN, which the max over samples dropped
+        model = build_morse_model("3999/4")
+        for n in (99, 100):
+            assert action_residual(model, n) <= 1e-12
+
 
 class TestDiscreteEigvectors:
     def test_first_component_one(self):

@@ -17,6 +17,8 @@ from jmatrix.polycore import (
     parse_polynomial,
     q_derivative_op,
     read_scalar,
+    read_token,
+    residual_ratio,
     resolve_mode,
     second_derivative_op,
     to_mode,
@@ -282,6 +284,27 @@ class TestScalarPolicy:
     def test_read_scalar_keeps_smaller_exponents(self, text):
         assert read_scalar(text) == (float(F(text)), F(text))
 
+    @pytest.mark.parametrize(
+        "token, want",
+        [("1/2", F(1, 2)), (" -3/6 ", F(-1, 2)), ("7", 7), ("-0", 0), ("0.5", 0.5), ("1e3", 1000.0), ("2.", 2.0)],
+    )
+    def test_read_token_types_by_spelling(self, token, want):
+        got = read_token(token)
+        assert got == want and type(got) is type(want)
+
+    def test_read_token_keeps_the_sign_of_zero(self):
+        assert math.copysign(1.0, read_token("-0.0")) == -1.0
+
+    @pytest.mark.parametrize("token", ["1e-100000", "1/0", "abc", "1e400", ""])
+    def test_read_token_rejects_what_read_scalar_rejects(self, token):
+        with pytest.raises(ValidationError, match=f"^scalar '{token}'"):
+            read_token(token)
+
+    def test_parse_polynomial_bounds_the_exponent(self):
+        # float("1e-100000") is 0.0; the token is refused like any flag value
+        with pytest.raises(ValidationError, match="exponent"):
+            parse_polynomial("1,1e-100000")
+
     def test_resolve_mode(self):
         assert resolve_mode(None, True) is Mode.EXACT
         assert resolve_mode(None, False) is Mode.FLOAT
@@ -458,3 +481,28 @@ class TestDiagonalizerAt41:
         for k, c in enumerate(p):
             want = o_add(want, o_scale(D.images[k].coeffs, c))
         assert_is(D.apply(Polynomial(p)), want)
+
+
+class TestResidualRatio:
+    def test_max_over_samples(self):
+        assert residual_ratio([1e-16, -3e-16, 0.0], [1.0, 1.0, 5.0]) == 3e-16
+
+    def test_exact_zero_reads_zero_whatever_the_scale(self):
+        assert residual_ratio([0.0, 0.0], [math.inf, math.nan]) == 0.0
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_non_finite_scale_is_nan(self, scale):
+        assert math.isnan(residual_ratio([1e-16, 1.0], [1.0, scale]))
+
+    def test_nan_residual_is_nan_wherever_it_falls(self):
+        assert math.isnan(residual_ratio([1.0, math.nan, 2.0], [4.0, 1.0, 4.0]))
+
+    def test_fractions_stay_exact(self):
+        got = residual_ratio([F(1, 3), F(-1, 2)], [F(2), F(3)])
+        assert got == F(1, 6) and type(got) is F
+        zero = residual_ratio([F(0), F(0)], [F(1), F(2)])
+        assert zero == 0 and type(zero) is F
+
+    def test_needs_a_sample(self):
+        with pytest.raises(ValueError, match="sample"):
+            residual_ratio([], [])
