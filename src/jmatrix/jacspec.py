@@ -397,11 +397,6 @@ class QuadratureRule:
         """The rule's sum of f, which must be vectorised (see ``adaptive_integrate``)."""
         return float(np.dot(self.weights, _sample(f, self.nodes)))
 
-    def inner(self, p, q) -> float:
-        """Inner product of two polynomial-like callables under this rule."""
-        vals = np.array([float(p(x)) * float(q(x)) for x in self.nodes])
-        return float(np.dot(self.weights, vals))
-
 
 def golub_welsch(J: JacobiOperator, n: int, total_mass: float) -> QuadratureRule:
     """Gauss rule from the n-by-n truncation of a Jacobi operator.

@@ -430,9 +430,11 @@ def parseval_check(model: MorseModel, n: int, m2: int, rtol: float = 1e-10) -> f
     """Quadrature value of the continuum orthonormality integral for (n, m2).
 
     The weight is built once per call (``opfamilies._cdh_weight``: the
-    closed form with one log-gamma per node, its constants formed once), and
-    the continuum kernel rows 0 .. max(n, m2) - 1 are read once as float
-    triples.  The integrand is called once per 16-node panel.
+    closed form with one log|Gamma| per node, its constants, those of the
+    log-gamma included, formed once), and the continuum kernel rows
+    0 .. max(n, m2) - 1 are read once as float triples.  The integrand is
+    called once per 16-node panel; its log|Gamma| is one real-arithmetic
+    Lanczos sum over the panel (``gammafn.log_abs_gamma``).
 
     Contract: within 1e-8 of the Kronecker delta for indices up to 10
     (slightly looser for the most oscillatory pairs).

@@ -29,7 +29,7 @@ from functools import cache, cached_property, lru_cache, partial
 import numpy as np
 
 from .errors import ValidationError
-from .gammafn import gammaln_real, loggamma
+from .gammafn import gammaln_real, log_abs_gamma
 from .jacspec import JacobiOperator, _recurrence, _recurrence_log
 from .polycore import Mode, Polynomial, read_token, residual_ratio, resolve_mode, scalar_mode, to_mode
 
@@ -553,7 +553,7 @@ def cdh_weight(b, N: int, gamma):
                / (2 pi N! Gamma(2b-N+1)).
     The second and third parameters sum to 1, so the reflection formula
     (DLMF 5.5.3) and |Gamma(2ig)|^2 = pi / (2g sinh(2 pi g)) (DLMF 5.4.3)
-    leave one complex log-gamma:
+    leave one log-gamma modulus:
     w = |Gamma(b+1/2+ig)|^2 4 pi g (1 - t^2) / (4 t sin^2(pi a2) + (1 - t)^2)
         / (2 pi N! Gamma(2b-N+1)),  t = exp(-2 pi g).
     Vectorized over numpy arrays of gamma.  This is ``_cdh_weight(b, N)(gamma)``;
@@ -566,16 +566,23 @@ def cdh_weight(b, N: int, gamma):
     return _cdh_weight(b, N)(gamma)
 
 
+# cdh_weight reads a larger gamma as this one, where every weight is 0.0
+_FAR_TAIL = 1e300
+
+
 def _cdh_weight(b, N: int):
     """The function gamma -> cdh_weight(b, N, gamma), its constants computed once.
 
-    b is checked, and the normalization log(2 pi N! Gamma(2b-N+1)) and
-    sin^2(pi a2) are formed here.  Each call makes one ``loggamma`` pass over
-    b + 1/2 + i gamma.  1 - t comes from ``expm1``, and t = exp(-2 pi g) <= 1
-    only multiplies, so nothing overflows at large gamma (the sinh form does
-    past g of about 113).  sin^2(pi a2) = sin^2(pi a3) is taken at the
-    distance of a3 to its nearest integer, which keeps it accurate for b near
-    a half-integer.
+    b is checked, and the normalization log(2 pi N! Gamma(2b-N+1)),
+    sin^2(pi a2) and the constants of ``gammafn.log_abs_gamma(b + 1/2)`` are
+    formed here.  Each call makes one real-arithmetic pass of that kernel over
+    the nodes: log|Gamma(b + 1/2 + i gamma)|, one broadcast Lanczos sum.
+    1 - t comes from ``expm1``, and t = exp(-2 pi g) <= 1 only multiplies, so
+    nothing overflows at large gamma (the sinh form does past g of about 113).
+    A gamma past 1e300 is read as 1e300: every weight has underflowed to 0
+    long before, and 4 pi g and 2 log|Gamma| stay finite up to the largest
+    double.  sin^2(pi a2) = sin^2(pi a3) is taken at the distance of a3 to
+    its nearest integer, which keeps it accurate for b near a half-integer.
     """
     bf = float(b)
     if bf <= N - 0.5:
@@ -583,17 +590,19 @@ def _cdh_weight(b, N: int):
     a1, a3 = bf + 0.5, bf - N + 0.5
     sin2 = math.sin(math.pi * (a3 - round(a3))) ** 2
     log_norm = math.log(2 * math.pi) + gammaln_real(N + 1.0) + gammaln_real(2 * bf - N + 1.0)
+    log_abs_gamma_a1 = log_abs_gamma(a1)
 
     def weight(gamma):
         g = np.asarray(gamma, dtype=float)
         if not np.all((g > 0) & np.isfinite(g)):
             raise ValidationError("gamma must be positive" if np.any(g <= 0) else "gamma must be finite")
-        x = g.reshape(-1)  # array loops for a scalar too, so it is the one-point array bit for bit
+        # array loops for a scalar too, so it is the one-point array bit for bit
+        x = np.minimum(g.reshape(-1), _FAR_TAIL)
         one_minus_t = -np.expm1(-2 * math.pi * x)
         ratio = 4 * math.pi * x * one_minus_t * (2 - one_minus_t) / (
             4 * sin2 * (1 - one_minus_t) + one_minus_t * one_minus_t
         )
-        out = (np.exp(2 * loggamma(a1 + 1j * x).real - log_norm) * ratio).reshape(g.shape)
+        out = (np.exp(2 * log_abs_gamma_a1(x) - log_norm) * ratio).reshape(g.shape)
         return out if out.shape else float(out)
 
     return weight

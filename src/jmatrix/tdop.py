@@ -490,6 +490,14 @@ class MomentInnerProduct:
         return acc
 
 
+def _horner(p: Polynomial, x: np.ndarray) -> np.ndarray:
+    """A float polynomial at every point of x, by the Horner steps of ``Polynomial.__call__``."""
+    acc = np.zeros_like(x)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _pairing(ip, tri_mode: Mode):
     """Normalize an inner-product input to (pair_fn, mode)."""
     if isinstance(ip, MomentInnerProduct):
@@ -497,7 +505,7 @@ def _pairing(ip, tri_mode: Mode):
             return MomentInnerProduct([float(m) for m in ip.moments], Mode.FLOAT).pair, Mode.FLOAT
         return ip.pair, ip.mode
     if isinstance(ip, QuadratureRule):
-        return ip.inner, Mode.FLOAT
+        return (lambda p, q: ip.integrate(lambda x: _horner(p, x) * _horner(q, x))), Mode.FLOAT
     raise InnerProductError("inner product must be a MomentInnerProduct or a quadrature rule")
 
 

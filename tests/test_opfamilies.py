@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -35,8 +36,10 @@ F = Fraction
 
 
 def four_call_cdh_weight(b, N, gamma):
-    """The weight as four separate log-gamma calls and a per-call constant:
-    an oracle that shares only ``loggamma`` with the closed-form ``cdh_weight``."""
+    """The weight as four separate complex ``loggamma`` calls and a per-call
+    constant: an oracle that shares only the normalization's ``gammaln_real``
+    with the closed-form ``cdh_weight``, whose one log-gamma per node is the
+    real-arithmetic ``log_abs_gamma``."""
     bf = float(b)
     g = np.asarray(gamma, dtype=float)
     a1, a2, a3 = bf + 0.5, N - bf + 0.5, bf - N + 0.5
@@ -624,6 +627,17 @@ class TestContinuousDualHahnWeight:
                 w = cdh_weight(b, N, grid)
                 assert np.all(np.isfinite(w)) and np.all(w >= 0)
                 assert cdh_weight(b, N, 1e3) == 0.0
+
+    @pytest.mark.parametrize("b, N", WEIGHT_CASES + [(F(3999, 4), 999)])
+    def test_huge_finite_gamma_is_zero_without_warnings(self, b, N):
+        # 4 pi g overflows past 1.4e307, g^2 in a naive Lanczos sum past 1.3e154
+        huge = [1e154, 1e200, 1e300, sys.float_info.max]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g in huge:
+                assert cdh_weight(b, N, g) == 0.0
+            got = cdh_weight(b, N, np.array([1.0] + huge))
+        assert got[0] > 0 and np.all(got[1:] == 0.0)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, np.array([1.0, math.nan]), np.array([math.inf, 2.0])])
     def test_non_finite_gamma_rejected(self, gamma):
