@@ -285,14 +285,15 @@ def even_eigenfunction_residual(spec: LameEvenSpectrum, model: LameModel, sample
     quarter_mm1_x = 0.25 * model.m * (model.m + 1) * x
     E = spec.eigenvalues
     P = np.array(spec.pcoeffs).T  # column i: the coefficients of eigenpair i
+    powers = (1.0, a, a**2 if abs(a) < 2.0**512 else math.inf)  # a**2 overflows from |a| = 2^512
     with np.errstate(all="ignore"):  # values beyond the float range make NaN ratios
         # psi^(j)(x) by Clenshaw, row i for eigenpair i and |T_n^(j)(y)|, row
         # n: column n of the identity holds the coefficients of T_n
-        psi, dpsi, ddpsi = (chebyshev.chebval(y, chebyshev.chebder(P, j)) / a**j for j in range(3))
+        psi, dpsi, ddpsi = (chebyshev.chebval(y, chebyshev.chebder(P, j)) / powers[j] for j in range(3))
         t0, t1, t2 = (np.abs(chebyshev.chebval(y, chebyshev.chebder(np.eye(spec.k + 1), j))) for j in range(3))
         residual = A * ddpsi + B * dpsi - (a * E[:, None] + quarter_mm1_x) * psi
         spectral = abs(a) * np.max(np.abs(E)) + np.abs(quarter_mm1_x)
-        scale = np.abs(P).T @ (np.abs(A) / a**2 * t2 + np.abs(B) / abs(a) * t1 + spectral * t0)
+        scale = np.abs(P).T @ (np.abs(A) / powers[2] * t2 + np.abs(B) / abs(a) * t1 + spectral * t0)
     return [residual_ratio(r, s) for r, s in zip(residual.tolist(), scale.tolist())]
 
 

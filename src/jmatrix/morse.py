@@ -107,7 +107,7 @@ def build_morse_model(b) -> MorseModel:
             raise ValidationError("b in 1/2 + N is unsupported (degenerate basis parameter)")
         N = math.floor(exact + Fraction(1, 2))
     else:
-        if bf >= 0.5 and float(bf - 0.5).is_integer():
+        if bf % 1.0 == 0.5:  # exact: bf - 0.5 rounds to an integer for bf >= 2^52
             raise ValidationError("b in 1/2 + N is unsupported (degenerate basis parameter)")
         N = math.floor(bf + 0.5)
     if N > _MAX_BOUND_STATES:
@@ -273,7 +273,10 @@ def action_residual(model: MorseModel, n: int, samples=DEFAULT_SAMPLE_GRID) -> f
     residuals, scales = [], []
     for x in samples:
         x = float(x)
-        z = 2.0 * b * math.exp(-x)
+        try:  # exp(-2x) in the potential leaves the float range from about x = -354
+            potential, z = model.potential(x), 2.0 * b * math.exp(-x)
+        except OverflowError:
+            raise ValidationError(f"sample x = {x:g}: the potential overflows the float range there") from None
         # L_{n-2} .. L_{n+1} at z, zero below index 0
         tail = ([(0.0, -math.inf)] * 2 + _recurrence_log(laguerre, z, n + 1))[-4:]
         top = max(log for _, log in tail)
@@ -287,7 +290,7 @@ def action_residual(model: MorseModel, n: int, samples=DEFAULT_SAMPLE_GRID) -> f
         )
         terms = (
             -((0.5 * z - p) * g + g_prime),
-            model.potential(x) * l_n,
+            potential * l_n,
             -_offdiag(model, n) * rel_next * l_next,
             -_diag(model, n) * l_n,
             -_offdiag(model, n - 1) * rel_prev * l_prev,
@@ -300,6 +303,8 @@ def action_residual(model: MorseModel, n: int, samples=DEFAULT_SAMPLE_GRID) -> f
 def _dual_hahn_column(model: MorseModel, mlevel: int, alpha, one) -> list:
     """R_n(lambda(N-1-mlevel); alpha, 0, N-1) for n < N, typed like ``one`` (just R_0 = 1 when N = 1)."""
     N = model.N
+    if N == 0:
+        raise ValidationError(f"b = {model.b:g} has no bound states (N = 0), so no level {mlevel}")
     if not 0 <= mlevel <= N - 1:
         raise ValidationError(f"mlevel must lie in 0..{N - 1}")
     if N == 1:

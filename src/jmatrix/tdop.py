@@ -125,45 +125,48 @@ class TDOperator:
 
     def leading_action(self, k: int):
         """Coefficient of x^(k+1) in L x^k: alpha_3 d'_k + beta_2 d_k + gamma_1."""
-        return self._monomial_action(k)[3]
+        return self.A.coeff(3) * self.T.coefficient(k) + self.B.coeff(2) * self.S.coefficient(k) + self.C.coeff(1)
 
-    def _monomial_action(self, j: int) -> tuple:
-        """The coefficients of x^(j-2), x^(j-1), x^j, x^(j+1) in L x^j.
+    def _bands(self, size: int) -> tuple[list[list], object, Exception | None]:
+        """(rows, E, error): the bands of L x^j for the j < ``size`` that can
+        be formed, so ``rows[j][i] / E`` is the x^(j-2+i) coefficient of L x^j.
 
         L x^j = d'_j A x^(j-2) + d_j B x^(j-1) + C x^j, where d_j and d'_j
         are the monomial coefficients of S and T (zero for j below their
-        shift), so L x^j has these four bands and no others.
+        shift), so L x^j has these four bands and no others.  d'_j and then
+        d_j are read degree by degree, from the first degree the integer rows
+        of S and T do not hold; the rows stop at the first j where one of
+        them raises, and ``error`` is that exception (None if all ``size``
+        rows are formed).  EXACT: integer rows over E = lcm(den A den T,
+        den B den S, den C), with S and T read from their integer rows.
+        FLOAT: float rows, E = 1.
         """
-        dd = self.T.coefficient(j)
-        d = self.S.coefficient(j)
-        a, b, c = self.A.coeff, self.B.coeff, self.C.coeff
-        return (
-            a(0) * dd,
-            a(1) * dd + b(0) * d,
-            a(2) * dd + b(1) * d + c(0),
-            a(3) * dd + b(2) * d + c(1),
-        )
-
-    def _integer_bands(self, size: int) -> tuple[list[list[int]], int]:
-        """EXACT: the bands of L x^j for every j < ``size`` as integer rows
-        over one denominator E, so ``rows[j][i] / E`` is
-        ``_monomial_action(j)[i]``.
-
-        E = lcm(den A den T, den B den S, den C), with A, B, C read from
-        their rows and S and T from their integer rows; d(k) is read for
-        k < ``size`` only.
-        """
-        (t, et), (s, es) = self.T._integer_row(size), self.S._integer_row(size)
-        (a, ea), (b, eb), (c, ec) = ((p._num, p._den) for p in (self.A, self.B, self.C))
-        E = math.lcm(ea * et, eb * es, ec)
-        a0, a1, a2, a3 = [v * (E // (ea * et)) for v in a] + [0] * (4 - len(a))
-        b0, b1, b2 = [v * (E // (eb * es)) for v in b] + [0] * (3 - len(b))
-        c0, c1 = [v * (E // ec) for v in c] + [0] * (2 - len(c))
-        rows = [
-            [a0 * dd, a1 * dd + b0 * d, a2 * dd + b1 * d + c0, a3 * dd + b2 * d + c1]
-            for dd, d in zip(t[:size], s[:size])
-        ]
-        return rows, E
+        T, S = self.T, self.S
+        n, error = size, None
+        for j in range(min(len(T._row[0]), len(S._row[0]), size), size):
+            try:
+                T.coefficient(j)
+                S.coefficient(j)
+            except Exception as exc:
+                n, error = j, exc
+                break
+        if self.mode is Mode.EXACT:
+            (t, et), (s, es) = T._integer_row(n), S._integer_row(n)
+            dens = (self.A._den * et, self.B._den * es, self.C._den)
+            E = math.lcm(*dens)
+            (a0, a1, a2, a3), (b0, b1, b2), (c0, c1) = (
+                [v * (E // e) for v in p._num] + [0] * (width - len(p._num))
+                for p, e, width in zip((self.A, self.B, self.C), dens, (4, 3, 2))
+            )
+            reads = zip(t[:n], s[:n])
+        else:
+            E = 1
+            (a0, a1, a2, a3), (b0, b1, b2), (c0, c1) = (
+                [p.coeff(i) for i in range(width)] for p, width in ((self.A, 4), (self.B, 3), (self.C, 2))
+            )
+            reads = [(T.coefficient(j), S.coefficient(j)) for j in range(n)]
+        rows = [[a0 * dd, a1 * dd + b0 * d, a2 * dd + b1 * d + c0, a3 * dd + b2 * d + c1] for dd, d in reads]
+        return rows, E, error
 
     def to_float(self) -> "TDOperator":
         return TDOperator(self.A.to_float(), self.B.to_float(), self.C.to_float(), self.S, self.T)
@@ -330,19 +333,20 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
     are solved from the coefficient-matching equations, and any coefficient
     left undetermined by A_k = 0 is set to zero.
 
-    L y_k is formed from the coefficients of y_k and the four-band monomial
-    action (L x^j spans x^(j-2) .. x^(j+1); see ``TDOperator``), computed
-    once per degree: O(k) scalar work per step and no polynomial products.
-    In EXACT mode that work is done on integers: y_k is a row of integer
-    numerators over one denominator, the bands are one integer table over
-    one common denominator, and each new row is reduced by one gcd and
+    L y_k is formed from the coefficients of y_k and the four bands of
+    each L x^j (x^(j-2) .. x^(j+1)), read once per operator from
+    ``TDOperator._bands``: O(k) scalar work per step and no polynomial
+    products.  In EXACT mode that work is done on integers: y_k is a row of
+    integer numerators over one denominator, the bands are integer rows
+    over one common denominator, and each new row is reduced by one gcd and
     handed over as the row of y_{k+1} (see ``_tridiagonalize_exact``); the
     Fraction coefficients are built on their first read.
     :meth:`Tridiagonalization.verify`
     applies L through its own path, so it checks this construction
     independently.  In FLOAT mode the band scalars are rounded before they
     multiply y_k, so results may differ in the last bits from a
-    product-by-product application of L.
+    product-by-product application of L.  Step j raises the error of a
+    degree j whose coefficients cannot be read, after the steps below it.
 
     Raises:
         TridiagonalizationError: if A_k = 0 at some k >= 2 leaves the lower
@@ -354,11 +358,12 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
     if op.mode is Mode.EXACT:
         return _tridiagonalize_exact(op, n_max)
     mode = op.mode
+    bands, _, error = op._bands(n_max)  # bands[j]: the coefficients of x^(j-2) .. x^(j+1) in L x^j
     ys = [Polynomial.one(mode)]
-    bands = []  # bands[j]: the coefficients of x^(j-2) .. x^(j+1) in L x^j
     abc = []  # (A_k, B_k, C_k)
     for k in range(n_max):
-        bands.append(op._monomial_action(k))
+        if k == len(bands):
+            raise error
         y = ys[k].coeffs
         Ly = _band_action(y, bands, 0.0)
         a_k = Ly[k + 1]
@@ -383,7 +388,7 @@ def _tridiagonalize_exact(op: TDOperator, n_max: int) -> Tridiagonalization:
     """The EXACT construction of :func:`tridiagonalize`, in integers.
 
     The bands of L x^j for j < n_max are integer rows over one denominator
-    E, fixed per operator (``TDOperator._integer_bands``), y_k is the
+    E, fixed per operator (``TDOperator._bands``), y_k is the
     integer row Y_k over the positive D_k with gcd(Y_k, D_k) = 1, so
     L y_k = W / (E D_k) for the integer row W.  Then B_k = W_k / (E D_k),
     C_k = W_{k-1} / (E D_k) (the canonical y_k has no x^(k-1) term), and
@@ -392,19 +397,18 @@ def _tridiagonalize_exact(op: TDOperator, n_max: int) -> Tridiagonalization:
     each of the three rows is scaled by one integer known to divide.  Each
     y_{k+1} is handed over as its row, which ``Polynomial._rows`` reduces
     by one gcd; A_k, B_k and C_k are the reduced Fractions of the Fraction
-    loop.
-
-    Errors come in the order of a construction that forms L x^k at step
-    k: a step that fails below the first degree whose coefficients cannot
-    be read fails first.
+    loop.  The first degree whose coefficients cannot be read raises its
+    error at its own step, after the steps below it.
     """
     # bands[j]: E times the coefficients of x^(j-2) .. x^(j+1) in L x^j
-    bands, E = _band_table(op, n_max, lambda j: _tridiagonalize_exact(op, j))
+    bands, E, error = op._bands(n_max)
     Y, D = (1,), 1
     Y_prev, D_prev = (), 1
     ys = [Polynomial.one(Mode.EXACT)]
     abc = []  # (A_k, B_k, C_k)
     for k in range(n_max):
+        if k == len(bands):
+            raise error
         W = _band_action(Y, bands, 0)
         a_k = Fraction(bands[k][3], E)
         b_k = Fraction(W[k], E * D)
@@ -439,24 +443,6 @@ def _band_action(y: Sequence, bands: Sequence, zero) -> list:
         for j in range(d, len(y)):
             Ly[j - d] += y[j] * bands[j][2 - d]
     return Ly
-
-
-def _band_table(op: TDOperator, size: int, steps=None) -> tuple[list[list[int]], int]:
-    """``op._integer_bands(size)``.  If it fails, raise what a construction
-    that forms L x^j at its step j raises: for the first j whose
-    coefficients cannot be read, the error of ``steps(j)`` (the steps below
-    j) if there is one, else that of L x^j."""
-    try:
-        return op._integer_bands(size)
-    except Exception:
-        for j in range(size):
-            try:
-                op._monomial_action(j)
-            except Exception:
-                if steps is not None and j:
-                    steps(j)
-                raise
-        raise
 
 
 def _nonzero(value, mode: Mode, coeffs: Sequence) -> bool:
@@ -652,26 +638,25 @@ def reconstruct_diagonalizer(op: TDOperator, n_max: int) -> ReconstructedOperato
     and L x^(n-1) has four monomial bands.  (D X + X D) p = L p holds for
     every polynomial p of degree < n_max (exactly in EXACT mode).  In EXACT
     mode the recurrence runs on integer rows over the one denominator E of
-    the band table (``TDOperator._integer_bands``), fixed per operator, and
-    every image is that row over E, reduced by ``Polynomial._rows``.
+    the bands (``TDOperator._bands``), fixed per operator, and every image
+    is that row over E, reduced by ``Polynomial._rows``; in FLOAT mode
+    E = 1.
     """
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
     mode = op.mode
-    if mode is Mode.EXACT:
-        bands, E = _band_table(op, n_max)
-        zero, image = 0, lambda row: Polynomial._rows(row, E)
-    else:
-        bands = (op._monomial_action(j) for j in range(n_max))
-        zero, image = 0.0, lambda row: Polynomial._of(row, mode)
+    bands, E, error = op._bands(n_max)
+    if error is not None:
+        raise error
+    zero = 0 if mode is Mode.EXACT else 0.0
     images = [Polynomial._of((), mode)]
-    prev = [zero]  # D x^(n-1): its coefficients, or their numerators over E
+    prev = [zero]  # D x^(n-1): its numerators over E
     for n, band in enumerate(bands, 1):
         cur = [zero] + [zero - c for c in prev]  # zero - c: no float -0.0
         for p, v in enumerate(band, n - 3):
             if p >= 0:
                 cur[p] += v
-        images.append(image(cur))
+        images.append(Polynomial._rows(cur, E) if mode is Mode.EXACT else Polynomial._of(cur, mode))
         prev = cur
     return ReconstructedOperator(tuple(images))
 

@@ -83,6 +83,23 @@ class TestMorseCommand:
         err = capsys.readouterr().err
         assert err.startswith("usage error: --b:") and "exponent" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("b", ["1e300", "9007199254740994"])
+    def test_float_b_beyond_2_to_52_has_too_many_bound_states(self, capsys, b):
+        assert main(["--mode", "float", "morse", "--b", b, "--levels"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: b = ") and err.endswith("has more than 1000 bound states\n")
+
+    def test_identity_without_bound_states(self, capsys):
+        assert main(["morse", "--b", "1/3", "--identity", "0"]) == 1
+        assert capsys.readouterr().err == "error: b = 0.333333 has no bound states (N = 0), so no level 0\n"
+
+    @pytest.mark.parametrize("grid, status", [("-300", 0), ("-400", 1), ("-800", 1)])
+    def test_grid_beyond_the_float_range_of_the_potential(self, capsys, grid, status):
+        assert main(["--mode", "float", "morse", "--b", "2.25", "--residual", "3", f"--grid={grid}"]) == status
+        out, err = capsys.readouterr()
+        if status:
+            assert out == "" and err == f"error: sample x = {grid}: the potential overflows the float range there\n"
+
     def test_csv_levels(self, capsys):
         status = main(["--out", "csv", "morse", "--b", "2.25", "--levels"])
         assert status == 0
@@ -109,6 +126,14 @@ class TestLameCommand:
         assert main(["--residual-tol", "1e-20", "lame", "--e", "3,-1,-2", "--m", "4", "--spectrum"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and err.startswith("error: --spectrum at m = 4: residual")
+
+    @pytest.mark.parametrize("e", ["1e155,-1e155,0", "1e300,-1e300,0", "1e-300,-1e-300,0"])
+    def test_spectrum_with_an_affine_scale_beyond_the_float_range(self, capsys, e):
+        # a**2 overflowed in Python floats, outside numpy's error state, and
+        # the command printed "error: (34, 'Numerical result out of range')"
+        assert main(["lame", "--e", e, "--m", "2", "--spectrum"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: --spectrum at m = 2: residual nan")
 
     def test_residuals_exact_zero(self, capsys):
         status, report = run_json(capsys, ["lame", "--e", "3,-1,-2", "--m", "2", "--residuals", "5"])

@@ -226,6 +226,31 @@ class TestEvenSpectrum:
         with pytest.raises(InternalConsistencyError, match="Sturm"):
             even_spectrum(build_lame_model(3, -1, -2, 10))
 
+    def test_verify_suite_does_not_recount_with_the_sturm_check(self, monkeypatch):
+        # a lost eigenvalue (pair 1 replaced by pair 0) behind a Sturm count
+        # that always brackets: every pair still solves the ODE, so only the
+        # suite's comparison with numpy.linalg.eigvals can see it
+        from jmatrix import verify
+
+        real = jacspec.eig_block
+
+        def lose_one(J, block):
+            solved = real(J, block)
+            w, v = solved.eigenvalues.copy(), solved.eigenvectors.copy()
+            if w.size > 1:
+                w[1], v[:, 1] = w[0], v[:, 0]
+            return dataclasses.replace(solved, eigenvalues=w, eigenvectors=v)
+
+        def bracket(diag, off, xs):  # the counts of a simple spectrum at w - width, then w + width
+            n = xs.size // 2
+            return np.concatenate([np.arange(n), np.arange(1, n + 1)])
+
+        assert verify.lame_even_spectra().passed
+        monkeypatch.setattr(jacspec, "_sturm_count", bracket)
+        monkeypatch.setattr(jacspec, "eig_block", lose_one)
+        result = verify.lame_even_spectra()
+        assert not result.passed and "eigvals" in result.detail
+
     @pytest.mark.parametrize("es", [(3, -1, -2), (5, -2, -3), (1, -1, 0)])
     @pytest.mark.parametrize("k", range(7))
     def test_eigenvalues_match_dense_nonsymmetric_solve(self, es, k):

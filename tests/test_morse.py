@@ -53,6 +53,16 @@ class TestModel:
         with pytest.raises(ValidationError, match="finite"):
             build_morse_model(b)
 
+    def test_float_half_integer_read_exactly(self):
+        # bf - 0.5 rounds to an integer from bf = 2^52 on: those b were
+        # called half-integers instead of having too many bound states
+        for b in (2.5, 2.0**51 + 0.5):
+            with pytest.raises(ValidationError, match=r"1/2 \+ N"):
+                build_morse_model(b)
+        for b in (1e300, 2.0**53 + 2, 2.0**52 + 1):
+            with pytest.raises(ValidationError, match="more than 1000 bound states"):
+                build_morse_model(b)
+
     def test_bound_state_count_capped(self):
         assert build_morse_model(F(3999, 4)).N == 1000
         for b in (F(4005, 4), 1001.3, "1e200"):
@@ -219,6 +229,12 @@ class TestActionResidual:
             model = build_morse_model(b)
             assert max(action_residual(model, n) for n in range(n_max + 1)) <= 1e-14
 
+    @pytest.mark.parametrize("x", [-400.0, -800.0])
+    def test_sample_where_the_potential_overflows_is_named(self, x):
+        # exp(-2x) overflows below about x = -354, exp(-x) below about -709
+        with pytest.raises(ValidationError, match=f"^sample x = {x:g}: the potential overflows"):
+            action_residual(build_morse_model(2.25), 3, samples=(0.0, x))
+
     def test_terms_beyond_the_float_range(self):
         # at b = 3999/4 and x = -3, y_99 underflows while L_100(z) overflows;
         # their product was NaN, which the max over samples dropped
@@ -253,6 +269,14 @@ class TestDiscreteEigvectors:
     def test_range_checked(self):
         with pytest.raises(ValidationError):
             discrete_eigvectors(build_morse_model("9/4"), 2)
+
+    def test_no_bound_states_is_named(self):
+        # the range check read "mlevel must lie in 0..-1" at N = 0
+        for b in ("1/3", 0.3333):
+            with pytest.raises(ValidationError, match=r"no bound states \(N = 0\), so no level 0$"):
+                expansion_identity(build_morse_model(b), 0)
+            with pytest.raises(ValidationError, match="no bound states"):
+                discrete_eigvectors(build_morse_model(b), 0)
 
     def test_large_float_b_ends_in_a_package_error(self):
         # N = 300: n! leaves the float range, and the level-0 vector's norm would

@@ -134,40 +134,80 @@ class TestApply:
                 assert out.coeff(k - 2) == A.coeff(0) * dpk
 
 
+def monomial_action(op, j):
+    """The coefficients of x^(j-2) .. x^(j+1) in L x^j, from the four-term
+    formula on the values of coefficient: the oracle for TDOperator._bands,
+    which reads the integer rows of S and T in EXACT mode."""
+    dd, d = op.T.coefficient(j), op.S.coefficient(j)
+    a, b, c = op.A.coeff, op.B.coeff, op.C.coeff
+    return [a(0) * dd, a(1) * dd + b(0) * d, a(2) * dd + b(1) * d + c(0), a(3) * dd + b(2) * d + c(1)]
+
+
 class TestIntegerBands:
     @pytest.mark.parametrize("q", [None, F(1, 2), F(2, 3), F(3, 2), F(2)])
     def test_rows_over_E_are_the_monomial_action(self, q):
-        # _monomial_action reads Fractions through coefficient, not the
-        # integer rows of S and T, so it is an independent oracle
         rng = random.Random(77 if q is None else int(12 * q))
         for i in range(8):  # eight degree patterns, rational A, B and C
             op = with_lowering(random_strict_operator(rng, 4 * i, depth=2), q)
-            rows, E = op._integer_bands(41)
-            assert len(rows) == 41 and type(E) is int and E > 0
+            rows, E, error = op._bands(41)
+            assert len(rows) == 41 and type(E) is int and E > 0 and error is None
             for j, row in enumerate(rows):
                 assert len(row) == 4 and all(type(v) is int for v in row)
-                assert [F(v, E) for v in row] == list(op._monomial_action(j))
+                assert [F(v, E) for v in row] == monomial_action(op, j)
+
+    @pytest.mark.parametrize("q", [None, 2 / 3, 2.0])
+    def test_float_rows_over_one_are_the_monomial_action(self, q):
+        rng = random.Random(78)
+        for i in range(8):
+            op = with_lowering(random_strict_operator(rng, 4 * i, depth=2).to_float(), q)
+            rows, E, error = op._bands(41)
+            assert len(rows) == 41 and E == 1 and error is None
+            assert rows == [monomial_action(op, j) for j in range(41)]
+            assert all(type(v) is float for row in rows for v in row)
 
     def test_one_denominator_for_the_whole_table(self):
         Sq = q_derivative_op(F(2, 3))
         op = validate_td(P(F(1, 3), 0, 0, F(5, 4)), P(F(1, 2), F(3, 7)), P(F(1, 5)), Sq, compose(Sq, Sq))
         (_, et), (_, es) = op.T._integer_row(9), op.S._integer_row(9)
-        rows, E = op._integer_bands(9)
+        rows, E, _ = op._bands(9)
         assert E == math.lcm(12 * et, 14 * es, 5)
-        assert [F(v, E) for v in rows[8]] == list(op._monomial_action(8))
+        assert [F(v, E) for v in rows[8]] == monomial_action(op, 8)
         # rows of S and T memoized further do not lengthen a smaller table
-        op._integer_bands(30)
-        rows, E = op._integer_bands(9)
-        assert len(rows) == 9 and [F(v, E) for v in rows[8]] == list(op._monomial_action(8))
+        op._bands(30)
+        rows, E, _ = op._bands(9)
+        assert len(rows) == 9 and [F(v, E) for v in rows[8]] == monomial_action(op, 8)
         assert len(reconstruct_diagonalizer(op, 9).images) == 10
 
     def test_reads_the_coefficients_below_size_only(self):
-        # d(7) = 0 breaks the contract; a table of 7 rows never reads it
-        op = validate_td(P(1, 2, 0, 3), P(0, 1, 1), P(2, 1), lowering(1, "S", 7), T())
-        rows, E = op._integer_bands(7)
-        assert [[F(v, E) for v in row] for row in rows] == [list(op._monomial_action(j)) for j in range(7)]
-        with pytest.raises(DegreeLoweringError, match=r"S: d\(7\) = 0 at k >= shift"):
-            op._integer_bands(8)
+        # d(7) = 0 breaks the contract; a table of 7 rows never reads it, a
+        # longer one stops there and hands the error back
+        exact = validate_td(P(1, 2, 0, 3), P(0, 1, 1), P(2, 1), lowering(1, "S", 7), T())
+        for op in (exact, exact.to_float()):
+            for size in (7, 12):
+                rows, E, error = op._bands(size)
+                want = [monomial_action(op, j) for j in range(7)]
+                assert [[v if E == 1 else F(v, E) for v in row] for row in rows] == want
+                assert (size, error) == (7, None) or str(error) == "S: d(7) = 0 at k >= shift"
+
+    def test_memoized_degrees_are_not_read_again(self, monkeypatch):
+        # the degrees the integer rows of S and T hold are known readable
+        op = random_strict_operator(random.Random(5), 0, depth=2)
+        first = op._bands(12)
+        calls = []
+        coefficient = DegreeLoweringOperator.coefficient
+        monkeypatch.setattr(DegreeLoweringOperator, "coefficient", lambda self, k: calls.append(k) or coefficient(self, k))
+        assert op._bands(12) == first and calls == []
+        assert op._bands(14)[0][:12] == first[0] and sorted(set(calls)) == [12, 13]
+
+    def test_the_first_degree_that_cannot_be_read_ends_the_rows(self):
+        # T fails at degree 5 and S at degree 4: d'_4 is read before d_4, and
+        # the rows stop at 4 on the error of S
+        op = validate_td(P(1, 2, 0, 3), P(0, 1, 1), P(2, 1), lowering(1, "S", 4), lowering(2, "T", 5))
+        for each in (op, op.to_float()):
+            rows, _, error = each._bands(8)
+            assert len(rows) == 4 and str(error) == "S: d(4) = 0 at k >= shift"
+        op = validate_td(P(1, 2, 0, 3), P(0, 1, 1), P(2, 1), lowering(1, "S", 4), lowering(2, "T", 4))
+        assert str(op._bands(8)[2]) == "T: d(4) = 0 at k >= shift"
 
 
 def tridiagonalize_by_apply(op, n_max):
@@ -201,7 +241,7 @@ def fraction_diagonalizer(op, n_max):
     images, prev = [Polynomial.zero()], [F(0)]
     for n in range(1, n_max + 1):
         cur = [F(0)] + [-c for c in prev]
-        for p, v in enumerate(op._monomial_action(n - 1), n - 3):
+        for p, v in enumerate(monomial_action(op, n - 1), n - 3):
             if p >= 0:
                 cur[p] += v
         images.append(Polynomial(cur))
@@ -444,11 +484,10 @@ class TestVerifyIsIndependent:
         op = random_strict_operator(random.Random(31), 3, depth=20)
         tri = tridiagonalize(op, 20)
 
-        def refuse(self, j):
-            raise AssertionError("verify used the construction's monomial action")
+        def refuse(self, size):
+            raise AssertionError("verify used the construction's monomial bands")
 
-        monkeypatch.setattr(TDOperator, "_monomial_action", refuse)
-        monkeypatch.setattr(TDOperator, "_integer_bands", refuse)
+        monkeypatch.setattr(TDOperator, "_bands", refuse)
         tri.verify(op)
 
     def test_agrees_with_the_apply_residual(self):
