@@ -118,10 +118,30 @@ class TDOperator:
         return self.A.degree == 3 or self.B.degree == 2
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """L p = A * T(p) + B * S(p) + C * p."""
+        """L p = A * T(p) + B * S(p) + C * p; on integer rows (``_apply_row``)
+        when the operator and p are both EXACT."""
+        if self.mode is Mode.EXACT and p.mode is Mode.EXACT:
+            LY, den = self._apply_row(p._num)
+            return Polynomial._rows(LY, den * p._den)
         return self.A * self.T.apply(p) + self.B * self.S.apply(p) + self.C * p
 
     __call__ = apply
+
+    def _apply_row(self, row: Sequence[int]) -> tuple[list[int], int]:
+        """(LY, den) with L Y = LY / den for the EXACT operator and an integer
+        row Y: A T(Y) + B S(Y) + C Y, with A, B, C and the coefficients of S
+        and T (their integer rows) cleared to one denominator den > 0."""
+        (t, et), (s, es) = self.T._integer_row(len(row)), self.S._integer_row(len(row))
+        dens = (self.A._den * et, self.B._den * es, self.C._den)
+        den = math.lcm(*dens)
+        images = ([y * v for y, v in zip(row[2:], t[2:])], [y * v for y, v in zip(row[1:], s[1:])], row)
+        LY = [0] * (len(row) + 1)
+        for p, e, image in zip((self.A, self.B, self.C), dens, images):
+            for i, v in enumerate(p._num):
+                if v:
+                    v *= den // e
+                    LY[i : i + len(image)] = [o + v * w for o, w in zip(LY[i:], image)]
+        return LY, den
 
     def leading_action(self, k: int):
         """Coefficient of x^(k+1) in L x^k: alpha_3 d'_k + beta_2 d_k + gamma_1."""
@@ -218,28 +238,51 @@ class Tridiagonalization:
         return self.y[0].mode
 
     def relation_residual(self, op: TDOperator, n: int) -> Polynomial:
-        """L y_n minus the stored three-band combination (exact zero on contract)."""
-        rhs = self.y[n + 1] * self.An[n] + self.y[n] * self.Bn[n]
+        """L y_n minus the stored three-band combination (exact zero on contract).
+
+        EXACT: with y_k = Y_k / D_k and L Y_n = LY / den (``op._apply_row``),
+        the residual times the lcm K of den and the denominators of the band
+        terms is one integer row, each row scaled by one integer known to be
+        exact.  FLOAT: ``op.apply`` minus the band terms.  A ModeError if the
+        basis and the operator differ in mode.
+        """
+        if op.mode is not self.mode:
+            raise ModeError(f"{self.mode.value} basis with {op.mode.value} operator")
+        if self.mode is Mode.FLOAT:
+            rhs = self.y[n + 1] * self.An[n] + self.y[n] * self.Bn[n]
+            if n >= 1:
+                rhs = rhs + self.y[n - 1] * self.Cn[n]
+            return op.apply(self.y[n]) - rhs
+        terms = [(self.y[n + 1], self.An[n]), (self.y[n], self.Bn[n])]
         if n >= 1:
-            rhs = rhs + self.y[n - 1] * self.Cn[n]
-        return op.apply(self.y[n]) - rhs
+            terms.append((self.y[n - 1], self.Cn[n]))
+        LY, den = op._apply_row(self.y[n]._num)
+        den *= self.y[n]._den
+        K = math.lcm(den, *[p._den * v.denominator for p, v in terms])
+        size = max(len(LY), *[len(p._num) for p, _ in terms])
+        row = [c * (K // den) for c in LY] + [0] * (size - len(LY))
+        for p, v in terms:
+            scale = v.numerator * (K // (p._den * v.denominator))
+            row[: len(p._num)] = [r - c * scale for r, c in zip(row, p._num)]
+        return Polynomial._rows(row, K)
 
     def verify(self, op: TDOperator, tol: float = 0.0) -> None:
-        """Recheck every stored relation through an independent L application.
+        """Recheck every stored relation through ``relation_residual``, which
+        applies L on its own path, not through the construction's bands.
 
-        EXACT: each relation, its denominators cleared, is checked as an
-        identity of integer rows, with L applied by :class:`_IntegerAction`
-        (A T + B S + C from the coefficients of S and T), which shares no
-        code with the construction.  FLOAT: the residual through ``op.apply``
-        must stay within ``tol`` times the size of the terms that cancel in it,
+        EXACT: every residual must be the zero polynomial, else a
+        TridiagonalizationError is raised.  FLOAT: the residual must stay
+        within ``tol`` times the size of the terms that cancel in it,
         |A_n| |y_{n+1}| + |B_n| |y_n| + |C_n| |y_{n-1}| with |y| the largest
-        coefficient, else a VerifyToleranceError is raised.
+        coefficient, else a VerifyToleranceError is raised.  A ModeError if
+        the basis and the operator differ in mode.
         """
-        if self.mode is Mode.EXACT:
-            self._verify_exact(op)
-            return
         for n in range(self.n_max):
             res = self.relation_residual(op, n)
+            if self.mode is Mode.EXACT:
+                if not res.is_zero():
+                    raise TridiagonalizationError(n, "exact residual nonzero on verify")
+                continue
             worst = max((abs(c) for c in res.coeffs), default=0.0)
             terms = [(self.An[n], self.y[n + 1]), (self.Bn[n], self.y[n])]
             if n >= 1:
@@ -247,33 +290,6 @@ class Tridiagonalization:
             scale = sum(abs(v) * max(map(abs, p.coeffs), default=0.0) for v, p in terms)
             if worst > tol * scale:
                 raise VerifyToleranceError(n, f"residual {worst:.3e} > {tol} times {scale:.3e}, the size of its terms")
-
-    def _verify_exact(self, op: TDOperator) -> None:
-        """L y_n = A_n y_{n+1} + B_n y_n + C_n y_{n-1} as integer rows.
-
-        With y_n = Y_n / D_n and L Y = LY / den, the relation times the lcm
-        K of den D_n and the scalar-times-row denominators is an identity of
-        integer rows, each row scaled by one integer known to be exact.
-        """
-        # L is applied to y_0 .. y_{n_max - 1} only, so d(k) is read for k < n_max.
-        action = _IntegerAction(op, max((len(p._num) for p in self.y[: self.n_max]), default=0))
-        prev, cur = None, (self.y[0]._num, self.y[0]._den)  # (Y_n, D_n), one row at a time
-        for n in range(self.n_max):
-            nxt = (self.y[n + 1]._num, self.y[n + 1]._den)
-            terms = [(*nxt, self.An[n]), (*cur, self.Bn[n])]
-            if n >= 1:
-                terms.append((*prev, self.Cn[n]))
-            LY, den = action.apply(cur[0]), action.den * cur[1]
-            K = math.lcm(den, *[d * v.denominator for _, d, v in terms])
-            size = max(len(LY), *[len(row) for row, _, _ in terms])
-            lhs = [c * (K // den) for c in LY] + [0] * (size - len(LY))
-            rhs = [0] * size
-            for row, d, v in terms:
-                scale = v.numerator * (K // (d * v.denominator))
-                rhs = [r + c * scale for r, c in zip(rhs, row)] + rhs[len(row):]
-            if lhs != rhs:
-                raise TridiagonalizationError(n, "exact residual nonzero on verify")
-            prev, cur = cur, nxt
 
     def to_float(self) -> "Tridiagonalization":
         return Tridiagonalization(
@@ -290,39 +306,6 @@ class Tridiagonalization:
             "C_n": [format_scalar(v) for v in self.Cn],
             "y": [[format_scalar(c) for c in p.coeffs] for p in self.y],
         }
-
-
-class _IntegerAction:
-    """The integer twin of :meth:`TDOperator.apply`, for ``verify``.
-
-    ``apply(Y)`` is den L Y for an integer row Y of length <= ``size``, with
-    den a positive integer fixed when the action is built: L Y = A T(Y) +
-    B S(Y) + C Y, with A, B, C and the coefficients of S and T (their integer
-    rows, read through ``coefficient``) cleared of their denominators once.
-    It does not use the monomial bands of the construction.
-    """
-
-    def __init__(self, op: TDOperator, size: int):
-        (t, et), (s, es) = op.T._integer_row(size), op.S._integer_row(size)
-        (a, ea), (b, eb), (c, ec) = ((p._num, p._den) for p in (op.A, op.B, op.C))
-        self.den = math.lcm(ea * et, eb * es, ec)
-        self._t, self._s = t, s
-        self._polys = [
-            [v * (self.den // e) for v in row] for row, e in ((a, ea * et), (b, eb * es), (c, ec))
-        ]
-
-    def apply(self, row: Sequence[int]) -> list[int]:
-        images = (
-            [y * t for y, t in zip(row[2:], self._t[2:])],
-            [y * s for y, s in zip(row[1:], self._s[1:])],
-            row,
-        )
-        out = [0] * (len(row) + 1)
-        for poly, image in zip(self._polys, images):
-            for i, v in enumerate(poly):
-                if v:
-                    out[i : i + len(image)] = [o + v * w for o, w in zip(out[i:], image)]
-        return out
 
 
 def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:

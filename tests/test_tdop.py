@@ -31,7 +31,6 @@ from jmatrix.tdop import (
     TDOperator,
     TridiagonalizationError,
     VerifyToleranceError,
-    _IntegerAction,
     eval_weight,
     orthogonalize,
     reconstruct_diagonalizer,
@@ -132,6 +131,34 @@ class TestApply:
                 assert out.coeff(k - 1) == A.coeff(1) * dpk + B.coeff(0) * dk
             if k >= 2:
                 assert out.coeff(k - 2) == A.coeff(0) * dpk
+
+    @pytest.mark.parametrize("q", [None, F(1, 2), F(2, 3), F(3, 2), F(2)])
+    def test_exact_apply_is_the_product_formula(self, q):
+        # integer rows against polynomial products, for degrees 0 .. 41 (41 is
+        # the benchmark's largest) and coefficients with denominators up to 12
+        rng = random.Random(91 if q is None else int(12 * q))
+        for i in range(8):  # eight degree patterns, rational A, B and C
+            op = with_lowering(random_strict_operator(rng, 4 * i, depth=2), q)
+            assert product_apply(op, Polynomial.zero()) == op.apply(Polynomial.zero()) == Polynomial.zero()
+            for degree in range(42):
+                p = Polynomial([F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(degree)] + [F(1, 7)])
+                got = op.apply(p)
+                assert got == product_apply(op, p) and math.gcd(*got._num, got._den) == 1
+
+
+def product_apply(op, p):
+    """L p = A * T(p) + B * S(p) + C * p by polynomial products: the oracle
+    for TDOperator.apply, which runs on integer rows in EXACT mode."""
+    return op.A * op.T.apply(p) + op.B * op.S.apply(p) + op.C * p
+
+
+def product_residual(tri, op, n):
+    """L y_n - A_n y_{n+1} - B_n y_n - C_n y_{n-1} through ``product_apply``:
+    the oracle for Tridiagonalization.relation_residual."""
+    rhs = tri.y[n + 1] * tri.An[n] + tri.y[n] * tri.Bn[n]
+    if n >= 1:
+        rhs = rhs + tri.y[n - 1] * tri.Cn[n]
+    return product_apply(op, tri.y[n]) - rhs
 
 
 def monomial_action(op, j):
@@ -302,18 +329,16 @@ class TestTridiagonalize:
 
     def test_built_without_apply_and_verified_through_it(self, monkeypatch):
         # verify is the independent oracle: it re-applies L, the construction
-        # does not; in EXACT mode it applies L through the integer twin of
-        # op.apply, once per row
+        # does not; in EXACT mode it applies L on integer rows through
+        # TDOperator._apply_row, once per relation
         calls = []
-        apply = TDOperator.apply
-        monkeypatch.setattr(TDOperator, "apply", lambda op, p: calls.append(p) or apply(op, p))
+        apply_row = TDOperator._apply_row
+        monkeypatch.setattr(TDOperator, "_apply_row", lambda op, row: calls.append(row) or apply_row(op, row))
         op = cubic_op()
         tri = tridiagonalize(op, 6)
         assert calls == []
-        twin = _IntegerAction.apply
-        monkeypatch.setattr(_IntegerAction, "apply", lambda action, row: calls.append(row) or twin(action, row))
         tri.verify(op)
-        assert len(calls) == 6
+        assert calls == [y._num for y in tri.y[:6]]
 
     @pytest.mark.parametrize("q", [None, F(1, 2), F(2, 3), F(3, 2), F(2)])
     def test_matches_the_apply_construction_at_benchmark_size(self, q):
@@ -493,7 +518,7 @@ class TestVerifyIsIndependent:
     def test_agrees_with_the_apply_residual(self):
         # on a basis that is not the canonical one (Gram-Schmidt against the
         # Chebyshev moments), perturbed anywhere, verify fails first where
-        # relation_residual, which goes through op.apply, is first nonzero
+        # the residual by polynomial products is first nonzero
         op = validate_td(P(1, 0, -1), P(0, -1), P(0, 1), S(), T(), relaxed=True)
         orth = orthogonalize(tridiagonalize(op, 8), MomentInnerProduct(CHEB_MOMENTS))
         orth.verify(op)
@@ -501,13 +526,50 @@ class TestVerifyIsIndependent:
         for field in ("An", "Bn", "Cn", "y"):
             for index in range(8):
                 bad = _perturbed(orth, field, index, rng.randrange(index + 1))
-                first = next((n for n in range(8) if not bad.relation_residual(op, n).is_zero()), None)
+                first = next((n for n in range(8) if not product_residual(bad, op, n).is_zero()), None)
                 if first is None:
                     bad.verify(op)
                     continue
                 with pytest.raises(TridiagonalizationError) as info:
                     bad.verify(op)
                 assert info.value.index == first
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_nonzero_residuals_are_the_product_residuals(self, i):
+        # a perturbed basis is the one place the integer-row residual is not
+        # the zero polynomial; it must be the residual by polynomial products
+        op = random_strict_operator(random.Random(30), i, depth=20)
+        tri = tridiagonalize(op, 20)
+        rng = random.Random(33 + i)
+        for field in ("An", "Bn", "Cn", "y"):
+            for index in (1, 7, 19):
+                bad = _perturbed(tri, field, index, rng.randrange(index + 1))
+                residuals = [bad.relation_residual(op, n) for n in range(20)]
+                assert residuals == [product_residual(bad, op, n) for n in range(20)]
+                assert any(not r.is_zero() for r in residuals)
+
+
+class TestModeMismatch:
+    # A = x^3, B = x^2, C = x keeps integer coefficients in float; A = 1/3 +
+    # x^2/7 + x^3, B = 2x/5 + x^2, C = 1/2 + x does not
+    OPERATORS = {
+        "integer": (P(0, 0, 0, 1), P(0, 0, 1), P(0, 1)),
+        "rational": (P(F(1, 3), 0, F(1, 7), 1), P(0, F(2, 5), 1), P(F(1, 2), 1)),
+    }
+
+    @pytest.mark.parametrize("kind", ["integer", "rational"])
+    @pytest.mark.parametrize("float_basis", [False, True])
+    def test_verify_and_relation_residual_raise(self, kind, float_basis):
+        op = validate_td(*self.OPERATORS[kind], S(), T())
+        tri = tridiagonalize(op, 6)
+        tri.verify(op)
+        tri, op = (tri.to_float(), op) if float_basis else (tri, op.to_float())
+        message = "float basis with exact operator" if float_basis else "exact basis with float operator"
+        with pytest.raises(ModeError, match=message):
+            tri.verify(op)
+        for n in range(6):
+            with pytest.raises(ModeError, match=message):
+                tri.relation_residual(op, n)
 
 
 class TestFloatVerify:
