@@ -101,9 +101,6 @@ class BlockDecomposition:
     tail_start: int | None
     scan_to: int
 
-    def dimensions(self) -> tuple[int, ...]:
-        return tuple(stop - start for start, stop in self.blocks)
-
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -499,8 +496,12 @@ def adaptive_integrate(f, lo: float, hi: float, rtol: float = 1e-10, atol: float
 def halfline_integrate(f, lo: float = 0.0, rtol: float = 1e-10, atol: float | None = None) -> float:
     """Integrate f on [lo, infinity) for integrands with super-polynomial decay.
 
-    f must be vectorised, as in ``adaptive_integrate``.  The domain is truncated at T where the sampled envelope of |f| falls
-    below ``_ENVELOPE_DROP`` times its peak, then integrated adaptively.
+    f must be vectorised, as in ``adaptive_integrate``.  The search samples
+    |f| at 64 points of [lo, lo + 4], doubling the trial length until the
+    last 4 samples lie below ``_ENVELOPE_DROP`` times the peak of every
+    sample so far.  T is then the sample 4 steps past the last sample of
+    any pass still above that drop, capped at the trial length, and
+    [lo, T] is integrated adaptively; choosing T costs no integrand call.
     The integral over [T, 2T - lo] is added; a ConvergenceError carrying
     ``T``, ``tail`` and ``estimate`` says it exceeds max(atol, rtol * |I|),
     one carrying ``T`` and ``peak`` that no truncation point was found.
@@ -509,16 +510,21 @@ def halfline_integrate(f, lo: float = 0.0, rtol: float = 1e-10, atol: float | No
         atol = rtol
     T = lo + _FIRST_SPAN
     peak = 0.0
+    seen = []
     for extension in range(_MAX_EXTENSIONS):
         if extension:
             T = lo + 2 * (T - lo)
-        mags = np.abs(_sample(f, np.linspace(lo, T, 65)[1:]))
+        xs = np.linspace(lo, T, 65)[1:]
+        mags = np.abs(_sample(f, xs))
+        seen.append((xs, mags))
         peak = max(peak, float(np.max(mags)))
         tail = float(np.max(mags[-4:]))
         if peak > 0 and tail <= _ENVELOPE_DROP * peak:
             break
     else:
         raise ConvergenceError("could not find a truncation point for the half-line integral", T=T, peak=peak)
+    last = max(float(x[m > _ENVELOPE_DROP * peak].max(initial=lo)) for x, m in seen)  # last sample above the drop
+    T = min(T, last + 4 * (T - lo) / 64)
     value = adaptive_integrate(f, lo, T, rtol=rtol, atol=atol)
     tail_part = adaptive_integrate(f, T, lo + 2 * (T - lo), rtol=max(rtol, 1e-8), atol=max(atol, 1e-14))
     value += tail_part

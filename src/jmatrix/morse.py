@@ -78,10 +78,6 @@ class MorseModel:
         """Laguerre parameter 2b - 2N (> -1 for every valid model)."""
         return 2.0 * self.b - 2 * self.N
 
-    @property
-    def alpha_exact(self) -> Fraction | None:
-        return None if self.b_exact is None else 2 * self.b_exact - 2 * self.N
-
     def potential(self, x: float) -> float:
         return self.b**2 * (math.exp(-2.0 * x) - 2.0 * math.exp(-x))
 
@@ -150,10 +146,6 @@ class MorseTridiag:
     diag: tuple[float, ...]
     split_index: int | None
     model: MorseModel
-
-    def lower_entry(self, n: int) -> float:
-        """Coefficient of y_{n-1} in the action on y_n: -(n - N) sqrt(n (2b - 2N + n))."""
-        return _offdiag(self.model, n - 1)
 
 
 def _offdiag(model: MorseModel, n: int) -> float:
@@ -439,7 +431,10 @@ def parseval_check(model: MorseModel, n: int, m2: int, rtol: float = 1e-10) -> f
     log-gamma included, formed once), and the continuum kernel rows
     0 .. max(n, m2) - 1 are read once as float triples.  The integrand is
     called once per 16-node panel; its log|Gamma| is one real-arithmetic
-    Lanczos sum over the panel (``gammafn.log_abs_gamma``).
+    Lanczos sum over the panel (``gammafn.log_abs_gamma``).  The half-line
+    is cut 4 search samples past the last one whose magnitude is above
+    1e-16 of the peak (``jacspec.halfline_integrate``), and the tail beyond
+    it is checked.
 
     Contract: within 1e-8 of the Kronecker delta for indices up to 10
     (slightly looser for the most oscillatory pairs).

@@ -251,7 +251,7 @@ class Polynomial:
     def _rows(cls, num: Sequence[int], den: int) -> "Polynomial":
         """Trusted EXACT constructor: the polynomial num / den, for a row of
         ints and an int den > 0.  Strips the row and reduces it by one gcd."""
-        n = len(num)
+        n = len(num) if any(num) else 0
         while n and not num[n - 1]:
             n -= 1
         num = num[:n]

@@ -13,7 +13,7 @@ All functions are pure over immutable inputs and safe to call in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -95,6 +95,7 @@ class TDOperator:
     C: Polynomial
     S: DegreeLoweringOperator
     T: DegreeLoweringOperator
+    _cleared: list = field(default_factory=list, init=False, repr=False, compare=False)  # see _apply_row
 
     def __post_init__(self):
         if not (self.A.mode is self.B.mode is self.C.mode):
@@ -129,18 +130,20 @@ class TDOperator:
 
     def _apply_row(self, row: Sequence[int]) -> tuple[list[int], int]:
         """(LY, den) with L Y = LY / den for the EXACT operator and an integer
-        row Y: A T(Y) + B S(Y) + C Y, with A, B, C and the coefficients of S
-        and T (their integer rows) cleared to one denominator den > 0."""
-        (t, et), (s, es) = self.T._integer_row(len(row)), self.S._integer_row(len(row))
-        dens = (self.A._den * et, self.B._den * es, self.C._den)
-        den = math.lcm(*dens)
+        row Y: A T(Y) + B S(Y) + C Y, with A, B, C and the integer rows of S
+        and T cleared to one denominator den > 0 once, until a longer row."""
+        if not self._cleared or len(self._cleared[0]) < len(row):
+            (t, et), (s, es) = self.T._integer_row(len(row)), self.S._integer_row(len(row))
+            dens = (self.A._den * et, self.B._den * es, self.C._den)
+            den = math.lcm(*dens)
+            polys = [[(i, v * (den // e)) for i, v in enumerate(p._num) if v] for p, e in zip((self.A, self.B, self.C), dens)]
+            self._cleared[:] = t, s, den, polys
+        t, s, den, polys = self._cleared
         images = ([y * v for y, v in zip(row[2:], t[2:])], [y * v for y, v in zip(row[1:], s[1:])], row)
         LY = [0] * (len(row) + 1)
-        for p, e, image in zip((self.A, self.B, self.C), dens, images):
-            for i, v in enumerate(p._num):
-                if v:
-                    v *= den // e
-                    LY[i : i + len(image)] = [o + v * w for o, w in zip(LY[i:], image)]
+        for coeffs, image in zip(polys, images):
+            for i, v in coeffs:
+                LY[i : i + len(image)] = [o + v * w for o, w in zip(LY[i:], image)]
         return LY, den
 
     def leading_action(self, k: int):
@@ -257,10 +260,10 @@ class Tridiagonalization:
         if n >= 1:
             terms.append((self.y[n - 1], self.Cn[n]))
         LY, den = op._apply_row(self.y[n]._num)
-        den *= self.y[n]._den
-        K = math.lcm(den, *[p._den * v.denominator for p, v in terms])
+        K = math.lcm(den * self.y[n]._den, *[p._den * v.denominator for p, v in terms])
+        lift = K // (den * self.y[n]._den)
         size = max(len(LY), *[len(p._num) for p, _ in terms])
-        row = [c * (K // den) for c in LY] + [0] * (size - len(LY))
+        row = [c * lift for c in LY] + [0] * (size - len(LY))
         for p, v in terms:
             scale = v.numerator * (K // (p._den * v.denominator))
             row[: len(p._num)] = [r - c * scale for r, c in zip(row, p._num)]
@@ -293,10 +296,7 @@ class Tridiagonalization:
 
     def to_float(self) -> "Tridiagonalization":
         return Tridiagonalization(
-            tuple(p.to_float() for p in self.y),
-            tuple(float(v) for v in self.An),
-            tuple(float(v) for v in self.Bn),
-            tuple(float(v) for v in self.Cn),
+            tuple(p.to_float() for p in self.y), *(tuple(map(float, bands)) for bands in (self.An, self.Bn, self.Cn))
         )
 
     def to_json_dict(self) -> dict:
@@ -324,12 +324,12 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
     over one common denominator, and each new row is reduced by one gcd and
     handed over as the row of y_{k+1} (see ``_tridiagonalize_exact``); the
     Fraction coefficients are built on their first read.
-    :meth:`Tridiagonalization.verify`
-    applies L through its own path, so it checks this construction
-    independently.  In FLOAT mode the band scalars are rounded before they
-    multiply y_k, so results may differ in the last bits from a
-    product-by-product application of L.  Step j raises the error of a
-    degree j whose coefficients cannot be read, after the steps below it.
+    :meth:`Tridiagonalization.verify` applies L through its own path, so it
+    checks this construction independently.  In FLOAT mode the band scalars
+    are rounded before they multiply y_k, so results may differ in the last
+    bits from a product-by-product application of L.  Step j raises the
+    error of a degree j whose coefficients cannot be read, after the steps
+    below it.
 
     Raises:
         TridiagonalizationError: if A_k = 0 at some k >= 2 leaves the lower

@@ -93,7 +93,7 @@ class TestSplitBlocks:
         bd = split_blocks(J, 5)
         assert bd.blocks == ((0, 2),)
         assert bd.tail_start == 2
-        assert bd.dimensions() == (2,)
+        assert [stop - start for start, stop in bd.blocks] == [2]
 
     def test_morse_boundary(self):
         from jmatrix.morse import build_morse_model, morse_jacobi_operator
@@ -129,7 +129,7 @@ class TestSplitBlocks:
         a = [rng.choice([0.0, 1.3, 0.7]) for _ in range(30)]
         J = JacobiOperator(a=lambda n: a[n], b=lambda n: 0.0)
         bd = split_blocks(J, 30)
-        covered = sum(bd.dimensions())
+        covered = sum(stop - start for start, stop in bd.blocks)
         tail = 30 - (bd.tail_start if bd.tail_start is not None else 30)
         assert covered + (30 - covered) == 30
         if bd.tail_start is not None:
@@ -431,17 +431,53 @@ class TestIntegrate:
         assert math.isfinite(err.estimate) and err.difference != 0
 
     def test_halfline_tail_beyond_tolerance_raises(self):
-        # the bump at 12 lies past the truncation point T = 8 and is never
-        # sampled there; only the tail integral over [8, 16] sees it
+        # the search stops at the trial length 8, whose samples are last
+        # above the drop at 6, so T = 6.5; the bump at 12 is never sampled,
+        # and only the tail integral over [T, 2T] = [6.5, 13] sees it
         def f(x):
             return np.exp(-x * x) + np.exp(-4 * (x - 12) ** 2)
 
         with pytest.raises(ConvergenceError, match="tail") as info:
             halfline_integrate(f)
         err = info.value
-        assert err.T == 8.0
-        assert abs(err.tail - math.sqrt(math.pi) / 2) <= 1e-9
-        assert abs(err.estimate - math.sqrt(math.pi)) <= 1e-9
+        tail = math.sqrt(math.pi) / 4 * (math.erf(2.0) + math.erf(11.0))
+        assert err.T == 6.5
+        assert abs(err.tail - tail) <= 1e-9
+        assert abs(err.estimate - (math.sqrt(math.pi) / 2 + tail)) <= 1e-9
+
+    @staticmethod
+    def halfline_intervals(monkeypatch, f) -> tuple[float, list]:
+        """halfline_integrate(f) and the intervals it hands to adaptive_integrate."""
+        intervals = []
+        adaptive = jacspec.adaptive_integrate
+
+        def spy(g, lo, hi, **kw):
+            intervals.append((lo, hi))
+            return adaptive(g, lo, hi, **kw)
+
+        monkeypatch.setattr(jacspec, "adaptive_integrate", spy)
+        return halfline_integrate(f), intervals
+
+    def test_halfline_cuts_where_the_samples_fall(self, monkeypatch):
+        # trial length 8, samples every 1/8: e^(-x^2) is last above 1e-16 of
+        # its peak at 6, so T = 6 + 4/8, not the trial length 8
+        value, intervals = self.halfline_intervals(monkeypatch, lambda x: np.exp(-x * x))
+        assert intervals == [(0.0, 6.5), (6.5, 13.0)]
+        assert abs(value - math.sqrt(math.pi) / 2) <= 1e-12
+
+    def test_halfline_interior_zero_does_not_cut_short(self, monkeypatch):
+        # f vanishes on the sample x = 2 before it decays; T follows the
+        # last sample above the drop, not the first one below it
+        value, intervals = self.halfline_intervals(monkeypatch, lambda x: (x - 2) ** 2 * np.exp(-x * x))
+        assert intervals == [(0.0, 6.625), (6.625, 13.25)]
+        assert abs(value - (math.sqrt(math.pi) / 4 - 2 + 2 * math.sqrt(math.pi))) <= 1e-12
+
+    def test_halfline_keeps_what_an_earlier_pass_saw(self, monkeypatch):
+        # the spike at 63/16 lies on the grid of the trial length 4 only; on
+        # that of 8 every sample is below the drop, yet T stays past the spike
+        value, intervals = self.halfline_intervals(monkeypatch, lambda x: np.exp(-1e4 * (x - 63 / 16) ** 2))
+        assert intervals == [(0.0, 63 / 16 + 0.5), (63 / 16 + 0.5, 2 * (63 / 16 + 0.5))]
+        assert abs(value - math.sqrt(math.pi) / 100) <= 1e-12
 
     def test_halfline_without_truncation_point_raises(self):
         with pytest.raises(ConvergenceError, match="truncation point") as info:

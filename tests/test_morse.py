@@ -72,7 +72,7 @@ class TestModel:
     def test_exact_parameter_kept(self):
         m = build_morse_model("9/4")
         assert m.b_exact == F(9, 4) and m.b == 2.25
-        assert m.alpha_exact == F(1, 2)
+        assert 2 * m.b_exact - 2 * m.N == F(1, 2)
         assert build_morse_model(2.2).b_exact is None
 
     def test_basis_parameter_above_minus_one(self):
@@ -115,8 +115,10 @@ class TestTridiag:
         model = build_morse_model("9/4")
         td = schrodinger_tridiag(model, 51)
         for n in range(1, 51):
-            upper_below = td.a[n - 1]
-            assert abs(td.lower_entry(n) - upper_below) <= 1e-13 * max(1.0, abs(upper_below))
+            # the coefficient of y_{n-1} in the action on y_n: -(n - N) sqrt(n (2b - 2N + n))
+            lower = -(n - model.N) * math.sqrt(n * (2 * model.b - 2 * model.N + n))
+            for upper_below in (td.a[n - 1], morse._offdiag(model, n - 1)):
+                assert abs(lower - upper_below) <= 1e-13 * max(1.0, abs(upper_below))
 
     def test_continuum_offset_rows(self):
         # rows N.. of the bands against the continuum block's closed forms
