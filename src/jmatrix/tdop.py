@@ -324,12 +324,12 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
     over one common denominator, and each new row is reduced by one gcd and
     handed over as the row of y_{k+1} (see ``_tridiagonalize_exact``); the
     Fraction coefficients are built on their first read.
-    :meth:`Tridiagonalization.verify` applies L through its own path, so it
-    checks this construction independently.  In FLOAT mode the band scalars
-    are rounded before they multiply y_k, so results may differ in the last
-    bits from a product-by-product application of L.  Step j raises the
-    error of a degree j whose coefficients cannot be read, after the steps
-    below it.
+    :meth:`Tridiagonalization.verify`
+    applies L through its own path, so it checks this construction
+    independently.  In FLOAT mode the band scalars are rounded before they
+    multiply y_k, so results may differ in the last bits from a
+    product-by-product application of L.  Step j raises the error of a
+    degree j whose coefficients cannot be read, after the steps below it.
 
     Raises:
         TridiagonalizationError: if A_k = 0 at some k >= 2 leaves the lower
