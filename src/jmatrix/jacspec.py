@@ -502,7 +502,8 @@ def halfline_integrate(f, lo: float = 0.0, rtol: float = 1e-10, atol: float | No
     sample so far.  T is then the sample 4 steps past the last sample of
     any pass still above that drop, capped at the trial length, and
     [lo, T] is integrated adaptively; choosing T costs no integrand call.
-    The integral over [T, 2T - lo] is added; a ConvergenceError carrying
+    The integral over [T, 2L - lo], with L the end of the trial span the
+    search stopped at, is added; a ConvergenceError carrying
     ``T``, ``tail`` and ``estimate`` says it exceeds max(atol, rtol * |I|),
     one carrying ``T`` and ``peak`` that no truncation point was found.
     """
@@ -524,9 +525,10 @@ def halfline_integrate(f, lo: float = 0.0, rtol: float = 1e-10, atol: float | No
     else:
         raise ConvergenceError("could not find a truncation point for the half-line integral", T=T, peak=peak)
     last = max(float(x[m > _ENVELOPE_DROP * peak].max(initial=lo)) for x, m in seen)  # last sample above the drop
+    reach = lo + 2 * (T - lo)
     T = min(T, last + 4 * (T - lo) / 64)
     value = adaptive_integrate(f, lo, T, rtol=rtol, atol=atol)
-    tail_part = adaptive_integrate(f, T, lo + 2 * (T - lo), rtol=max(rtol, 1e-8), atol=max(atol, 1e-14))
+    tail_part = adaptive_integrate(f, T, reach, rtol=max(rtol, 1e-8), atol=max(atol, 1e-14))
     value += tail_part
     if abs(tail_part) > max(atol, rtol * abs(value)):
         raise ConvergenceError(f"half-line tail {tail_part:.3e} beyond T = {T}", T=T, tail=tail_part, estimate=value)

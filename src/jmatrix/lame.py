@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from . import jacspec, opfamilies
 from .errors import InternalConsistencyError, ValidationError
@@ -263,6 +262,43 @@ def even_spectrum(model: LameModel) -> LameEvenSpectrum:
     return LameEvenSpectrum(k=k, matrix=mat, eigenvalues=eigs, pcoeffs=pcoeffs.T.tolist())
 
 
+def _chebder(c: np.ndarray, order: int) -> np.ndarray:
+    """The Chebyshev series c (coefficients along axis 0) differentiated
+    ``order`` times, by the downward recurrence of numpy's ``chebder``, bit
+    for bit; numpy.polynomial itself is not imported, as it holds about
+    0.9 MB resident for these two routines."""
+    c = np.array(c, dtype=float)
+    if order >= len(c):
+        return c[:1] * 0
+    for _ in range(order):
+        n = len(c) - 1
+        der = np.empty((n,) + c.shape[1:])
+        for j in range(n, 2, -1):
+            der[j - 1] = (2 * j) * c[j]
+            c[j - 2] += (j * c[j]) / (j - 2)
+        if n > 1:
+            der[1] = 4 * c[2]
+        der[0] = c[1]
+        c = der
+    return c
+
+
+def _chebval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Clenshaw sum of the Chebyshev series c at every point of x, shape
+    c.shape[1:] + x.shape, bit for bit as numpy's ``chebval``."""
+    c = c.reshape(c.shape + (1,) * x.ndim)
+    if len(c) == 1:
+        c0, c1 = c[0], 0
+    elif len(c) == 2:
+        c0, c1 = c[0], c[1]
+    else:
+        x2 = 2 * x
+        c0, c1 = c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            c0, c1 = c[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
 def even_eigenfunction_residual(spec: LameEvenSpectrum, model: LameModel, samples=None) -> list[float]:
     """Residual of the x-variable equation for every eigenpair, over its rounding scale.
 
@@ -289,8 +325,8 @@ def even_eigenfunction_residual(spec: LameEvenSpectrum, model: LameModel, sample
     with np.errstate(all="ignore"):  # values beyond the float range make NaN ratios
         # psi^(j)(x) by Clenshaw, row i for eigenpair i and |T_n^(j)(y)|, row
         # n: column n of the identity holds the coefficients of T_n
-        psi, dpsi, ddpsi = (chebyshev.chebval(y, chebyshev.chebder(P, j)) / powers[j] for j in range(3))
-        t0, t1, t2 = (np.abs(chebyshev.chebval(y, chebyshev.chebder(np.eye(spec.k + 1), j))) for j in range(3))
+        psi, dpsi, ddpsi = (_chebval(y, _chebder(P, j)) / powers[j] for j in range(3))
+        t0, t1, t2 = (np.abs(_chebval(y, _chebder(np.eye(spec.k + 1), j))) for j in range(3))
         residual = A * ddpsi + B * dpsi - (a * E[:, None] + quarter_mm1_x) * psi
         spectral = abs(a) * np.max(np.abs(E)) + np.abs(quarter_mm1_x)
         scale = np.abs(P).T @ (np.abs(A) / powers[2] * t2 + np.abs(B) / abs(a) * t1 + spectral * t0)

@@ -95,7 +95,7 @@ class TDOperator:
     C: Polynomial
     S: DegreeLoweringOperator
     T: DegreeLoweringOperator
-    _cleared: list = field(default_factory=list, init=False, repr=False, compare=False)  # see _apply_row
+    _cleared: tuple = field(default=(0, (), (), 1, ()), init=False, repr=False, compare=False)  # see _apply_row
 
     def __post_init__(self):
         if not (self.A.mode is self.B.mode is self.C.mode):
@@ -132,13 +132,13 @@ class TDOperator:
         """(LY, den) with L Y = LY / den for the EXACT operator and an integer
         row Y: A T(Y) + B S(Y) + C Y, with A, B, C and the integer rows of S
         and T cleared to one denominator den > 0 once, until a longer row."""
-        if not self._cleared or len(self._cleared[0]) < len(row):
+        n, t, s, den, polys = self._cleared
+        if n < len(row):
             (t, et), (s, es) = self.T._integer_row(len(row)), self.S._integer_row(len(row))
             dens = (self.A._den * et, self.B._den * es, self.C._den)
             den = math.lcm(*dens)
             polys = [[(i, v * (den // e)) for i, v in enumerate(p._num) if v] for p, e in zip((self.A, self.B, self.C), dens)]
-            self._cleared[:] = t, s, den, polys
-        t, s, den, polys = self._cleared
+            object.__setattr__(self, "_cleared", (min(len(t), len(s)), t, s, den, polys))
         images = ([y * v for y, v in zip(row[2:], t[2:])], [y * v for y, v in zip(row[1:], s[1:])], row)
         LY = [0] * (len(row) + 1)
         for coeffs, image in zip(polys, images):
@@ -260,8 +260,9 @@ class Tridiagonalization:
         if n >= 1:
             terms.append((self.y[n - 1], self.Cn[n]))
         LY, den = op._apply_row(self.y[n]._num)
-        K = math.lcm(den * self.y[n]._den, *[p._den * v.denominator for p, v in terms])
-        lift = K // (den * self.y[n]._den)
+        den *= self.y[n]._den
+        K = math.lcm(den, *[p._den * v.denominator for p, v in terms])
+        lift = K // den
         size = max(len(LY), *[len(p._num) for p, _ in terms])
         row = [c * lift for c in LY] + [0] * (size - len(LY))
         for p, v in terms:
@@ -296,7 +297,10 @@ class Tridiagonalization:
 
     def to_float(self) -> "Tridiagonalization":
         return Tridiagonalization(
-            tuple(p.to_float() for p in self.y), *(tuple(map(float, bands)) for bands in (self.An, self.Bn, self.Cn))
+            tuple(p.to_float() for p in self.y),
+            tuple(float(v) for v in self.An),
+            tuple(float(v) for v in self.Bn),
+            tuple(float(v) for v in self.Cn),
         )
 
     def to_json_dict(self) -> dict:

@@ -433,17 +433,28 @@ class TestIntegrate:
     def test_halfline_tail_beyond_tolerance_raises(self):
         # the search stops at the trial length 8, whose samples are last
         # above the drop at 6, so T = 6.5; the bump at 12 is never sampled,
-        # and only the tail integral over [T, 2T] = [6.5, 13] sees it
+        # and only the tail integral over [T, 2 * 8] = [6.5, 16] sees it
         def f(x):
             return np.exp(-x * x) + np.exp(-4 * (x - 12) ** 2)
 
         with pytest.raises(ConvergenceError, match="tail") as info:
             halfline_integrate(f)
         err = info.value
-        tail = math.sqrt(math.pi) / 4 * (math.erf(2.0) + math.erf(11.0))
+        tail = math.sqrt(math.pi) / 4 * (math.erf(8.0) + math.erf(11.0))
         assert err.T == 6.5
         assert abs(err.tail - tail) <= 1e-9
         assert abs(err.estimate - (math.sqrt(math.pi) / 2 + tail)) <= 1e-9
+
+    def test_halfline_tail_reaches_twice_the_trial_length(self):
+        # T = 6.5 as above, but the tail keeps the reach of the trial length
+        # 8: a bump at 15.5, past 2T = 13, is still caught
+        def f(x):
+            return np.exp(-x * x) + np.exp(-4 * (x - 15.5) ** 2)
+
+        with pytest.raises(ConvergenceError, match="tail") as info:
+            halfline_integrate(f)
+        assert info.value.T == 6.5
+        assert abs(info.value.tail - math.sqrt(math.pi) / 4 * (math.erf(1.0) + math.erf(18.0))) <= 1e-9
 
     @staticmethod
     def halfline_intervals(monkeypatch, f) -> tuple[float, list]:
@@ -460,23 +471,24 @@ class TestIntegrate:
 
     def test_halfline_cuts_where_the_samples_fall(self, monkeypatch):
         # trial length 8, samples every 1/8: e^(-x^2) is last above 1e-16 of
-        # its peak at 6, so T = 6 + 4/8, not the trial length 8
+        # its peak at 6, so T = 6 + 4/8, not the trial length 8; the tail
+        # still runs to 2 * 8
         value, intervals = self.halfline_intervals(monkeypatch, lambda x: np.exp(-x * x))
-        assert intervals == [(0.0, 6.5), (6.5, 13.0)]
+        assert intervals == [(0.0, 6.5), (6.5, 16.0)]
         assert abs(value - math.sqrt(math.pi) / 2) <= 1e-12
 
     def test_halfline_interior_zero_does_not_cut_short(self, monkeypatch):
         # f vanishes on the sample x = 2 before it decays; T follows the
         # last sample above the drop, not the first one below it
         value, intervals = self.halfline_intervals(monkeypatch, lambda x: (x - 2) ** 2 * np.exp(-x * x))
-        assert intervals == [(0.0, 6.625), (6.625, 13.25)]
+        assert intervals == [(0.0, 6.625), (6.625, 16.0)]
         assert abs(value - (math.sqrt(math.pi) / 4 - 2 + 2 * math.sqrt(math.pi))) <= 1e-12
 
     def test_halfline_keeps_what_an_earlier_pass_saw(self, monkeypatch):
         # the spike at 63/16 lies on the grid of the trial length 4 only; on
         # that of 8 every sample is below the drop, yet T stays past the spike
         value, intervals = self.halfline_intervals(monkeypatch, lambda x: np.exp(-1e4 * (x - 63 / 16) ** 2))
-        assert intervals == [(0.0, 63 / 16 + 0.5), (63 / 16 + 0.5, 2 * (63 / 16 + 0.5))]
+        assert intervals == [(0.0, 63 / 16 + 0.5), (63 / 16 + 0.5, 16.0)]
         assert abs(value - math.sqrt(math.pi) / 100) <= 1e-12
 
     def test_halfline_without_truncation_point_raises(self):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jmatrix import jacspec
+from jmatrix import jacspec, lame
 from jmatrix.errors import InternalConsistencyError, ValidationError
 from jmatrix.jacspec import JacobiOperator, berezanskii_test
 from jmatrix.lame import (
@@ -268,6 +268,22 @@ class TestEvenSpectrum:
             even_spectrum(build_lame_model(3, -1, -2, F(5, 2)))
         with pytest.raises(ValidationError, match="block"):
             even_spectrum(build_lame_model(3, -1, -2, 2002))
+
+
+class TestChebyshevSums:
+    def test_bit_for_bit_numpys_chebder_and_chebval(self):
+        # the residual's Clenshaw sums, against numpy.polynomial.chebyshev,
+        # down to the sign of a zero
+        from numpy.polynomial import chebyshev
+
+        rng = np.random.default_rng(7)
+        y = np.array([-0.75, 0.0, 1.5])
+        for length in range(1, 9):
+            for c in (rng.standard_normal((length, 3)), np.eye(length), -np.eye(length)):
+                for order in range(3):
+                    got = lame._chebval(y, lame._chebder(c, order))
+                    want = chebyshev.chebval(y, chebyshev.chebder(c, order))
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestOrthonormalForm:

@@ -145,6 +145,16 @@ class TestApply:
                 got = op.apply(p)
                 assert got == product_apply(op, p) and math.gcd(*got._num, got._den) == 1
 
+    def test_exact_apply_when_the_lowering_rows_grow_apart(self):
+        # T's integer row is grown to degree 20 on its own, S's only as far as
+        # the first exact apply needs; later applies must still read all of S(p)
+        op = validate_td(P(F(1, 2), -2, 1, 3), P(2, F(-1, 3), 1), P(F(5, 2), -1), S(), T())
+        op.T.apply(Polynomial.monomial(20))
+        for degree in (2, 10, 20, 30):
+            p = Polynomial([F(k + 1, 3) for k in range(degree + 1)])
+            got = op.apply(p)  # before product_apply grows S's row
+            assert got == product_apply(op, p)
+
 
 def product_apply(op, p):
     """L p = A * T(p) + B * S(p) + C * p by polynomial products: the oracle
