@@ -45,10 +45,11 @@ from .tdop import tridiagonalize, validate_td
 
 DEFAULT_TOLERANCES = {"quad_rtol": 1e-10, "residual_tol": 1e-9}
 # Size caps, set by run time: a Legendre rule of 1000 nodes takes about
-# 1.5 s; an exact tridiagonalization to n = 200 takes 0.04 s for A = x^3,
-# B = x^2, C = x and 0.6 s with small rational coefficients (1.7 s wall,
-# for a 15 MB report); exact `families --eval` to n = 3000 is one
-# recurrence pass of about 2 s, and 3000 is the closed-pipe test's size;
+# 1.5 s; an exact tridiagonalization to n = 200 takes 0.01 s for A = x^3,
+# B = x^2, C = x and 0.07 s with small rational coefficients in process
+# (0.9 s wall, most of it writing the 15 MB report, 2-core machine); exact
+# `families --eval` to n = 3000 is one recurrence pass of about 2 s, and
+# 3000 is the closed-pipe test's size;
 # `families --bochner` checks the ODE degree by degree, each phi_n built once
 # from the two below it, in O(n^2): 0.1-0.17 s at n = 300 and 0.4 s at
 # n = 600 in process; exact `morse --identity` takes about 0.02 s at N = 64,

@@ -8,7 +8,8 @@ numerators over one positive denominator; its ``coeffs``, the reduced
 Fractions, are built on their first read.  All values are immutable after
 construction, so they can be shared freely across threads; the only
 internal mutability is that first-read ``coeffs`` tuple and the memoized
-coefficients of a degree-lowering operator, whose fills are idempotent.
+coefficients of a degree-lowering operator, whose fills are idempotent (d/dx
+and d^2/dx^2 are one shared instance each).
 
 The exact-or-float policy of every pipeline is three helpers: ``read_scalar``
 reads a model input into its float value and, when it is rational, its exact
@@ -574,7 +575,7 @@ class DegreeLoweringOperator:
         shift, num = self.shift, p._num
         if p.mode is Mode.EXACT:
             row, den = self._integer_row(len(num))
-            return Polynomial._rows([c * d for c, d in zip(num[shift:], row[shift:])], p._den * den)
+            return Polynomial._rows([c * d for c, d in zip(num[shift:], row[shift : len(num)])], p._den * den)
         out = [c * self.coefficient(k) if c != 0 else 0.0 for k, c in enumerate(num[shift:], shift)]
         return Polynomial._of(_from_zero(out), p.mode)
 
@@ -584,14 +585,24 @@ class DegreeLoweringOperator:
         return f"DegreeLoweringOperator(shift={self.shift}, label={self.label!r})"
 
 
+_DERIVATIVE = DegreeLoweringOperator(1, lambda k: k, label="d/dx")
+_SECOND_DERIVATIVE = DegreeLoweringOperator(2, lambda k: k * (k - 1), label="d^2/dx^2")
+
+
 def derivative_op() -> DegreeLoweringOperator:
-    """d/dx as a degree-lowering operator (d_k = k); mode-neutral."""
-    return DegreeLoweringOperator(1, lambda k: k, label="d/dx")
+    """d/dx as a degree-lowering operator (d_k = k); mode-neutral.
+
+    Every call returns the same instance, shared by EXACT and FLOAT
+    operators, so its memo and its integer row (over den = 1) outlive a
+    call; its fills are idempotent, so sharing it changes no result."""
+    return _DERIVATIVE
 
 
 def second_derivative_op() -> DegreeLoweringOperator:
-    """d^2/dx^2 (d_k = k(k-1)); mode-neutral."""
-    return DegreeLoweringOperator(2, lambda k: k * (k - 1), label="d^2/dx^2")
+    """d^2/dx^2 (d_k = k(k-1)); mode-neutral.
+
+    Every call returns the same instance, as for :func:`derivative_op`."""
+    return _SECOND_DERIVATIVE
 
 
 def q_derivative_op(q) -> DegreeLoweringOperator:

@@ -8,6 +8,9 @@ symmetric tridiagonal form, reconstructs the degree-preserving operator D
 with D X + X D = L, and solves the first-order ODE for the symmetry weight.
 
 All functions are pure over immutable inputs and safe to call in parallel.
+The d/dx and d^2/dx^2 of ``polycore`` are one shared instance each, so
+operators built on them share their memo; its fills are idempotent, so that
+sharing changes no result and keeps them safe to call in parallel.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ __all__ = [
     "weight_log_derivative",
     "eval_weight",
 ]
+
+_ZERO = Polynomial.zero()  # the EXACT y_(-1) of the relation at n = 0
 
 
 class TridiagonalizationError(JMatrixError):
@@ -139,7 +144,7 @@ class TDOperator:
             den = math.lcm(*dens)
             polys = [[(i, v * (den // e)) for i, v in enumerate(p._num) if v] for p, e in zip((self.A, self.B, self.C), dens)]
             object.__setattr__(self, "_cleared", (min(len(t), len(s)), t, s, den, polys))
-        images = ([y * v for y, v in zip(row[2:], t[2:])], [y * v for y, v in zip(row[1:], s[1:])], row)
+        images = ([y * v for y, v in zip(row[2:], t[2 : len(row)])], [y * v for y, v in zip(row[1:], s[1 : len(row)])], row)
         LY = [0] * (len(row) + 1)
         for coeffs, image in zip(polys, images):
             for i, v in coeffs:
@@ -245,9 +250,10 @@ class Tridiagonalization:
 
         EXACT: with y_k = Y_k / D_k and L Y_n = LY / den (``op._apply_row``),
         the residual times the lcm K of den and the denominators of the band
-        terms is one integer row, each row scaled by one integer known to be
-        exact.  FLOAT: ``op.apply`` minus the band terms.  A ModeError if the
-        basis and the operator differ in mode.
+        terms is one integer row, formed in one pass over the four rows
+        padded to the longest, each scaled by one integer known to be exact.
+        FLOAT: ``op.apply`` minus the band terms.  A ModeError if the basis
+        and the operator differ in mode.
         """
         if op.mode is not self.mode:
             raise ModeError(f"{self.mode.value} basis with {op.mode.value} operator")
@@ -256,19 +262,18 @@ class Tridiagonalization:
             if n >= 1:
                 rhs = rhs + self.y[n - 1] * self.Cn[n]
             return op.apply(self.y[n]) - rhs
-        terms = [(self.y[n + 1], self.An[n]), (self.y[n], self.Bn[n])]
-        if n >= 1:
-            terms.append((self.y[n - 1], self.Cn[n]))
+        terms = [(self.y[n + 1], self.An[n]), (self.y[n], self.Bn[n]), (self.y[n - 1], self.Cn[n]) if n else (_ZERO, 0)]
         LY, den = op._apply_row(self.y[n]._num)
         den *= self.y[n]._den
-        K = math.lcm(den, *[p._den * v.denominator for p, v in terms])
-        lift = K // den
+        dens = [p._den * v.denominator for p, v in terms]
+        K = math.lcm(den, *dens)
         size = max(len(LY), *[len(p._num) for p, _ in terms])
-        row = [c * lift for c in LY] + [0] * (size - len(LY))
-        for p, v in terms:
-            scale = v.numerator * (K // (p._den * v.denominator))
-            row[: len(p._num)] = [r - c * scale for r, c in zip(row, p._num)]
-        return Polynomial._rows(row, K)
+        LY += [0] * (size - len(LY))
+        (Y1, s1), (Y0, s0), (Ym, sm) = [
+            (p._num + (0,) * (size - len(p._num)), v.numerator * (K // e)) for (p, v), e in zip(terms, dens)
+        ]
+        lift = K // den
+        return Polynomial._rows([lift * w - s1 * a - s0 * b - sm * c for w, a, b, c in zip(LY, Y1, Y0, Ym)], K)
 
     def verify(self, op: TDOperator, tol: float = 0.0) -> None:
         """Recheck every stored relation through ``relation_residual``, which
@@ -278,8 +283,9 @@ class Tridiagonalization:
         TridiagonalizationError is raised.  FLOAT: the residual must stay
         within ``tol`` times the size of the terms that cancel in it,
         |A_n| |y_{n+1}| + |B_n| |y_n| + |C_n| |y_{n-1}| with |y| the largest
-        coefficient, else a VerifyToleranceError is raised.  A ModeError if
-        the basis and the operator differ in mode.
+        coefficient, else a VerifyToleranceError is raised; a NaN residual or
+        a size that is not finite is never within it.  A ModeError if the
+        basis and the operator differ in mode.
         """
         for n in range(self.n_max):
             res = self.relation_residual(op, n)
@@ -287,13 +293,13 @@ class Tridiagonalization:
                 if not res.is_zero():
                     raise TridiagonalizationError(n, "exact residual nonzero on verify")
                 continue
-            worst = max((abs(c) for c in res.coeffs), default=0.0)
+            worst = float(np.max(np.abs(res.coeffs), initial=0.0))  # NaN if any coefficient is NaN
             terms = [(self.An[n], self.y[n + 1]), (self.Bn[n], self.y[n])]
             if n >= 1:
                 terms.append((self.Cn[n], self.y[n - 1]))
             scale = sum(abs(v) * max(map(abs, p.coeffs), default=0.0) for v, p in terms)
-            if worst > tol * scale:
-                raise VerifyToleranceError(n, f"residual {worst:.3e} > {tol} times {scale:.3e}, the size of its terms")
+            if not (worst <= tol * scale and math.isfinite(scale)):
+                raise VerifyToleranceError(n, f"residual {worst:.3e} not within {tol} times {scale:.3e}, the size of its terms")
 
     def to_float(self) -> "Tridiagonalization":
         return Tridiagonalization(
@@ -320,39 +326,46 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
     are solved from the coefficient-matching equations, and any coefficient
     left undetermined by A_k = 0 is set to zero.
 
-    L y_k is formed from the coefficients of y_k and the four bands of
-    each L x^j (x^(j-2) .. x^(j+1)), read once per operator from
-    ``TDOperator._bands``: O(k) scalar work per step and no polynomial
-    products.  In EXACT mode that work is done on integers: y_k is a row of
-    integer numerators over one denominator, the bands are integer rows
-    over one common denominator, and each new row is reduced by one gcd and
-    handed over as the row of y_{k+1} (see ``_tridiagonalize_exact``); the
-    Fraction coefficients are built on their first read.
-    :meth:`Tridiagonalization.verify`
-    applies L through its own path, so it checks this construction
-    independently.  In FLOAT mode the band scalars are rounded before they
-    multiply y_k, so results may differ in the last bits from a
-    product-by-product application of L.  Step j raises the error of a
-    degree j whose coefficients cannot be read, after the steps below it.
+    L y_k is formed from the coefficients of y_k and the four band columns
+    of L x^j (its x^(j-2) .. x^(j+1) coefficients), read once per operator
+    from ``TDOperator._bands``: O(k) scalar work per step, in one pass
+    (``_band_action``), and no polynomial products.  In EXACT mode that work
+    is done on integers: y_k is a row of integer numerators over one
+    denominator, the bands are integer columns over one common denominator,
+    A_k, B_k and C_k are read from the band of L x^k, and the lower
+    coefficients of y_{k+1} are formed in the pass that forms L y_k and
+    handed over as its row, reduced by one gcd (see
+    ``_tridiagonalize_exact``); the Fraction coefficients are built on
+    their first read.  :meth:`Tridiagonalization.verify` applies L through
+    its own path, so it checks this construction independently.  In FLOAT
+    mode the band scalars are rounded before they multiply y_k, so results
+    may differ in the last bits from a product-by-product application of
+    L.  Step j raises the error of a degree j whose coefficients cannot be
+    read, after the steps below it.
 
     Raises:
         TridiagonalizationError: if A_k = 0 at some k >= 2 leaves the lower
             coefficient equations inconsistent (no basis with the canonical
             earlier choices satisfies the relation there).
+        ValidationError: FLOAT, at the first step k where L y_k or y_{k+1}
+            has a coefficient that is not finite.
     """
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
     if op.mode is Mode.EXACT:
         return _tridiagonalize_exact(op, n_max)
     mode = op.mode
-    bands, _, error = op._bands(n_max)  # bands[j]: the coefficients of x^(j-2) .. x^(j+1) in L x^j
+    bands, _, error = op._bands(n_max)
+    columns = _columns(bands)
     ys = [Polynomial.one(mode)]
     abc = []  # (A_k, B_k, C_k)
     for k in range(n_max):
         if k == len(bands):
             raise error
         y = ys[k].coeffs
-        Ly = _band_action(y, bands, 0.0)
+        Ly = _band_action(y, columns, 0.0)
+        if not all(map(math.isfinite, Ly)):
+            raise ValidationError(f"step {k} leaves the float range: L y_{k} has a coefficient that is not finite")
         a_k = Ly[k + 1]
         b_k = Ly[k]
         c_k = 0.0 if k == 0 else Ly[k - 1] - b_k * y[k - 1]
@@ -366,6 +379,8 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
                 raise TridiagonalizationError(
                     k, f"A_{k} = 0 but the x^{p} equation has nonzero right side {format_scalar(rhs)}"
                 )
+        if not all(map(math.isfinite, coeffs)):
+            raise ValidationError(f"step {k} leaves the float range: y_{k + 1} has a coefficient that is not finite")
         ys.append(Polynomial._of(coeffs, mode))
         abc.append((a_k, b_k, c_k))
     return Tridiagonalization(tuple(ys), *zip(*abc))
@@ -374,21 +389,26 @@ def tridiagonalize(op: TDOperator, n_max: int) -> Tridiagonalization:
 def _tridiagonalize_exact(op: TDOperator, n_max: int) -> Tridiagonalization:
     """The EXACT construction of :func:`tridiagonalize`, in integers.
 
-    The bands of L x^j for j < n_max are integer rows over one denominator
-    E, fixed per operator (``TDOperator._bands``), y_k is the
+    The bands of L x^j for j < n_max are integer columns over one
+    denominator E, fixed per operator (``TDOperator._bands``), y_k is the
     integer row Y_k over the positive D_k with gcd(Y_k, D_k) = 1, so
-    L y_k = W / (E D_k) for the integer row W.  Then B_k = W_k / (E D_k),
-    C_k = W_{k-1} / (E D_k) (the canonical y_k has no x^(k-1) term), and
-    the lower coefficients of y_{k+1} are Z / (M A_k), where M is the lcm
-    of the three denominators of L y_k - B_k y_k - C_k y_{k-1}, so that
-    each of the three rows is scaled by one integer known to divide.  Each
-    y_{k+1} is handed over as its row, which ``Polynomial._rows`` reduces
-    by one gcd; A_k, B_k and C_k are the reduced Fractions of the Fraction
-    loop.  The first degree whose coefficients cannot be read raises its
-    error at its own step, after the steps below it.
+    L y_k = W / (E D_k) for the integer row W.  The canonical y_k has no
+    x^(k-1) or x^(k-2) term, so the top of W is D_k times the band of
+    L x^k: A_k, B_k and C_k are its x^(k+1), x^k and x^(k-1) entries over
+    E.  The lower coefficients of y_{k+1} are Z / (M A_k), where M is the
+    lcm of the three denominators of L y_k - B_k y_k - C_k y_{k-1}, so that
+    each of the three rows is scaled by one integer known to divide.  The
+    row s Z, with s the denominator of A_k carrying its sign, is formed in
+    the one pass that sums W (``_band_action``) and handed over as the row
+    of y_{k+1}, which ``Polynomial._rows`` reduces by one gcd; A_k, B_k and
+    C_k are the reduced Fractions of the Fraction loop.  The first degree
+    whose coefficients cannot be read raises its error at its own step,
+    after the steps below it.
     """
-    # bands[j]: E times the coefficients of x^(j-2) .. x^(j+1) in L x^j
+    # columns[d][j]: E times the x^(j-2+d) coefficient of L x^j
     bands, E, error = op._bands(n_max)
+    columns = _columns(bands)
+    _, c1, c2, c3 = columns
     Y, D = (1,), 1
     Y_prev, D_prev = (), 1
     ys = [Polynomial.one(Mode.EXACT)]
@@ -396,40 +416,64 @@ def _tridiagonalize_exact(op: TDOperator, n_max: int) -> Tridiagonalization:
     for k in range(n_max):
         if k == len(bands):
             raise error
-        W = _band_action(Y, bands, 0)
-        a_k = Fraction(bands[k][3], E)
-        b_k = Fraction(W[k], E * D)
-        c_k = Fraction(0) if k == 0 else Fraction(W[k - 1], E * D)  # y_k has no x^(k-1) term
-        # y_{k+1}[p] = (L y_k - b_k y_k - c_k y_{k-1})[p] / a_k for p <= k - 2
-        M = math.lcm(E * D, b_k.denominator * D, c_k.denominator * D_prev)
-        s_w = M // (E * D)
-        s_y = b_k.numerator * (M // (b_k.denominator * D))
-        s_prev = c_k.numerator * (M // (c_k.denominator * D_prev))
-        Z = [W[p] * s_w - Y[p] * s_y - Y_prev[p] * s_prev for p in range(k - 1)]
-        if a_k == 0:
+        a_k = Fraction(c3[k], E)
+        b_k = Fraction(c2[k], E)
+        c_k = Fraction(c1[k], E) if k else Fraction(0)
+        # s M A_k y_{k+1}[p] = s M (L y_k - b_k y_k - c_k y_{k-1})[p] for p <= k - 2,
+        # where the denominator of b_k divides E, so b_k y_k adds nothing to M
+        ED = E * D
+        M = math.lcm(ED, c_k.denominator * D_prev)
+        s = a_k.denominator if a_k.numerator >= 0 else -a_k.denominator
+        s_w = s * (M // ED)
+        s_y = s * b_k.numerator * (M // (b_k.denominator * D))
+        s_prev = s * c_k.numerator * (M // (c_k.denominator * D_prev))
+        Z = _band_action(Y, columns, 0, (s_w, s_y, s_prev, Y_prev[: k - 1]))
+        if not a_k:  # s = 1
             p = next((p for p in range(k - 2, -1, -1) if Z[p]), None)
             if p is not None:
                 raise TridiagonalizationError(
                     k, f"A_{k} = 0 but the x^{p} equation has nonzero right side {format_scalar(Fraction(Z[p], M))}"
                 )
             y = Polynomial._rows([0] * (k + 1) + [1], 1)
-        else:  # Z / (M A_k), with the sign of A_k moved onto the row
-            s, den = (a_k.denominator, M * a_k.numerator) if a_k > 0 else (-a_k.denominator, -M * a_k.numerator)
-            y = Polynomial._rows([z * s for z in Z] + [0] * min(k + 1, 2) + [den], den)
+        else:  # s Z / (s M A_k)
+            den = M * abs(a_k.numerator)
+            y = Polynomial._rows(Z + [0] * min(k + 1, 2) + [den], den)
         ys.append(y)
         Y_prev, D_prev, Y, D = Y, D, y._num, y._den
         abc.append((a_k, b_k, c_k))
     return Tridiagonalization(tuple(ys), *zip(*abc))
 
 
-def _band_action(y: Sequence, bands: Sequence, zero) -> list:
-    """The coefficients of L y from those of y (or its integer row) and the
-    bands (x^(j-2) .. x^(j+1)) of each L x^j, summed from ``zero`` (0 or 0.0)."""
-    Ly = [zero] + [c * band[3] for c, band in zip(y, bands)]
-    for d in (0, 1, 2):  # the x^j, x^(j-1) and x^(j-2) bands, in that order
-        for j in range(d, len(y)):
-            Ly[j - d] += y[j] * bands[j][2 - d]
-    return Ly
+def _columns(bands: Sequence) -> tuple:
+    """The four band columns of ``TDOperator._bands`` rows: column d holds
+    the x^(j-2+d) coefficients of L x^j (empty columns for no rows)."""
+    return tuple(zip(*bands)) or ((),) * 4
+
+
+def _band_action(y: tuple, columns: tuple, zero, combine: tuple | None = None) -> list:
+    """The coefficients of L y, lowest first, from those of y (or its integer
+    row) and the band columns (``_columns``), in one pass.
+
+    The x^m coefficient sums y_j columns[m+2-j][j] over j = m-1 .. m+2 in
+    increasing j, starting from ``zero`` (0 or 0.0) at m = 0 only.  A term
+    whose j lies outside y is the product ``zero`` times ``-zero``: -0.0 in
+    FLOAT, which leaves every sum as it was, signed zeros included.  With
+    ``combine`` = (s_w, s_y, s_prev, prev), the same pass returns instead
+    s_w (L y)_m - s_y y_m - s_prev prev_m for m < len(prev).
+    """
+    c0, c1, c2, c3 = columns
+    n, pad = len(y), -zero
+    rows = (
+        (zero,) + y, (zero,) + c3[:n], y + (zero,), c2[:n] + (pad,),
+        y[1:] + (zero, zero), c1[1:n] + (pad, pad), y[2:] + (zero, zero, zero), c0[2:n] + (pad, pad, pad),
+    )
+    if combine is None:
+        return [((u * a + v * b) + w * c) + t * d for u, a, v, b, w, c, t, d in zip(*rows)]
+    s_w, s_y, s_prev, prev = combine
+    return [
+        (((u * a + v * b) + w * c) + t * d) * s_w - v * s_y - q * s_prev
+        for q, u, a, v, b, w, c, t, d in zip(prev, *rows)
+    ]
 
 
 def _nonzero(value, mode: Mode, coeffs: Sequence) -> bool:

@@ -162,6 +162,9 @@ def reject_constant(name):
         # a decimal exponent beyond +-1000 in a coefficient or family parameter
         ["tridiag", "--A", "0,0,0,1", "--B", "0,0,1", "--C", "0,1e-100000", "--n", "3"],
         ["families", "--family", "laguerre:1e-100000", "--n", "2", "--recurrence"],
+        # a float basis past the float range, which once printed "inf" and
+        # "nan" as strings: L y_5 overflows at step 5
+        ["--mode", "float", "tridiag", "--A=1e300,0,0,1", "--B=0,0,1", "--C=0,1", "--n", "7"],
     ],
 )
 def test_found_cases_exit_1_with_one_line(capsys, argv):

@@ -11,7 +11,7 @@ golden moved").  Review the diff.
 sha256 of its exit status and stdout.  Most were drawn once from the
 seeded ``cli-pipelines`` decks of the benchmark (seed 1, every command but
 the Parseval integrals); the rest were added by hand: float ``tridiag``
-with and without ``--q``, the ``families --eval`` and ``--bochner`` paths,
+with and without ``--q`` (and one past the float range, at exit 1), the ``families --eval`` and ``--bochner`` paths,
 the failing argv of ``test_exit_contract.py``, Gauss rules up to n = 256
 (n = 1000 for Legendre), ``families --recurrence`` for every family
 kind, in p/q and in decimal spelling, ``lame --spectrum`` of blocks up to

@@ -227,8 +227,11 @@ class TestIntegerBands:
                 assert (size, error) == (7, None) or str(error) == "S: d(7) = 0 at k >= shift"
 
     def test_memoized_degrees_are_not_read_again(self, monkeypatch):
-        # the degrees the integer rows of S and T hold are known readable
+        # the degrees the integer rows of S and T hold are known readable;
+        # fresh lowering operators, as d/dx and d^2/dx^2 are shared and
+        # other tests grow their rows
         op = random_strict_operator(random.Random(5), 0, depth=2)
+        op = validate_td(op.A, op.B, op.C, lowering(1, "S", None), lowering(2, "T", None))
         first = op._bands(12)
         calls = []
         coefficient = DegreeLoweringOperator.coefficient
@@ -606,6 +609,129 @@ class TestFloatVerify:
             bad.verify(op, 1e-9)
         assert isinstance(info.value, TridiagonalizationError) and info.value.index == index
         assert "unsatisfiable" not in str(info.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_basis_is_rejected(self, value):
+        # a NaN or an infinite coefficient of y_6 (not its first) must fail
+        # the first relation it enters, n = 5: a NaN residual and a size
+        # that is not finite are never within the tolerance
+        op = self.rational_op()
+        tri = tridiagonalize(op, 12)
+        coeffs = list(tri.y[6].coeffs)
+        coeffs[2] = value
+        bad = dataclasses.replace(tri, y=tri.y[:6] + (Polynomial(coeffs, Mode.FLOAT),) + tri.y[7:])
+        with pytest.raises(VerifyToleranceError, match="index 5 exceeds the verify tolerance") as info:
+            bad.verify(op, 1e-9)
+        assert info.value.index == 5 and f"residual {value} not within 1e-09 times" in str(info.value)
+
+
+class TestFloatRange:
+    # 1e300 + x^3 overflows L y_5; 1 + 1e-300 x^3 divides y_6 by a tiny A_5
+    @pytest.mark.parametrize("A, B, C, where", [
+        ((1e300, 0, 0, 1), (0, 0, 1), (0, 1), "L y_5"),
+        ((1, 0, 0, 1e-300), (), (), "y_6"),
+    ])
+    def test_leaving_the_float_range_names_the_step(self, A, B, C, where):
+        op = validate_td(*(Polynomial(p, Mode.FLOAT) for p in (A, B, C)), S(), T())
+        for n_max in (6, 7, 20):
+            with pytest.raises(ValidationError, match=f"^step 5 leaves the float range: {where} has a coefficient"):
+                tridiagonalize(op, n_max)
+        tri = tridiagonalize(op, 5)
+        assert all(math.isfinite(v) for v in [*tri.An, *tri.Bn, *tri.Cn] + [c for p in tri.y for c in p.coeffs])
+        tri.verify(op, 1e-9)
+
+
+class TestRelationResidualRows:
+    # relation_residual forms K times the residual in one pass over the rows
+    # of L y_n, y_(n+1), y_n and y_(n-1), padded to the longest; operators 5
+    # (d/dx) and 11 (q = 3/2) have A_n != 0 and C_n != 0 for every n < 20
+
+    @staticmethod
+    def basis(i):
+        op = random_strict_operator(random.Random(30), i, depth=20)
+        tri = tridiagonalize(op, 20)
+        assert all(tri.An) and all(tri.Cn[1:])
+        return op, tri
+
+    @pytest.mark.parametrize("i", [5, 11])
+    @pytest.mark.parametrize("n", [0, 1, 7, 19])
+    def test_raised_degree_of_the_row_above_counts(self, i, n):
+        # y_(n+1) + x^(n+2)/7 is longer than L y_n: its top term is in the residual
+        op, tri = self.basis(i)
+        y = tri.y[: n + 1] + (tri.y[n + 1] + Polynomial.monomial(n + 2, F(1, 7)),) + tri.y[n + 2:]
+        bad = dataclasses.replace(tri, y=y)
+        res = bad.relation_residual(op, n)
+        assert res == product_residual(bad, op, n)
+        assert res.degree == n + 2 and res.leading() == -tri.An[n] / 7
+        with pytest.raises(TridiagonalizationError, match="exact residual nonzero on verify") as info:
+            bad.verify(op)
+        assert info.value.index == n
+
+    @pytest.mark.parametrize("i", [5, 11])
+    @pytest.mark.parametrize("n", [1, 2, 10, 19])
+    def test_perturbed_constant_of_the_row_below_counts(self, i, n):
+        # y_(n-1) enters relation n as its C_n term; verify fails at the
+        # first relation whose product residual is nonzero
+        op, tri = self.basis(i)
+        bad = _perturbed(tri, "y", n - 1, 0)
+        res = bad.relation_residual(op, n)
+        assert res == product_residual(bad, op, n) and res.coeff(0) == -tri.Cn[n] / 10**30
+        first = next(m for m in range(20) if not product_residual(bad, op, m).is_zero())
+        assert first <= n
+        with pytest.raises(TridiagonalizationError, match="exact residual nonzero on verify") as info:
+            bad.verify(op)
+        assert info.value.index == first
+
+    @pytest.mark.parametrize("i", [5, 11])
+    @pytest.mark.parametrize("index, slot, relation", [(0, 0, 0), (20, 0, 19), (20, 19, 19)])
+    def test_perturbed_end_of_the_basis_is_rejected_at_its_end_relation(self, i, index, slot, relation):
+        # y_0 first enters relation 0; y_20 only relation 19, the last
+        op, tri = self.basis(i)
+        bad = _perturbed(tri, "y", index, slot)
+        assert bad.relation_residual(op, relation) == product_residual(bad, op, relation)
+        with pytest.raises(TridiagonalizationError, match="exact residual nonzero on verify") as info:
+            bad.verify(op)
+        assert info.value.index == relation
+
+
+class TestSharedDerivatives:
+    # d/dx and d^2/dx^2 are one shared instance each, whose memo and integer
+    # rows outlive a call; results must be those of fresh operators
+
+    def test_one_instance_each(self):
+        assert derivative_op() is derivative_op() and second_derivative_op() is second_derivative_op()
+        assert derivative_op().mode is None and second_derivative_op().mode is None
+
+    @staticmethod
+    def results(A, B, C, mode, pair, n):
+        op = validate_td(*(Polynomial(p, mode) for p in (A, B, C)), *pair, relaxed=True)
+        tri = tridiagonalize(op, n)
+        tri.verify(op, 0.0 if mode is Mode.EXACT else 1e-9)
+        D = reconstruct_diagonalizer(op, n)
+
+        def hexed(values):
+            return [v.hex() if type(v) is float else v for v in values]
+
+        def rows(ps):
+            return [(hexed(p._num), p._den) for p in ps]
+
+        return (
+            rows(tri.y), hexed(tri.An), hexed(tri.Bn), hexed(tri.Cn), rows(D.images),
+            rows([tri.relation_residual(op, k) for k in range(n)]),
+        )
+
+    @pytest.mark.parametrize("order", [(Mode.EXACT, Mode.FLOAT), (Mode.FLOAT, Mode.EXACT)])
+    def test_exact_and_float_on_the_shared_pair_match_fresh_operators(self, order, monkeypatch):
+        # the shared memo starts empty here and grows by each size in turn
+        for op in (derivative_op(), second_derivative_op()):
+            monkeypatch.setattr(op, "_cache", {})
+            monkeypatch.setattr(op, "_row", ((), 1))
+        A, B, C = (F(1, 3), F(2, 5), F(-3, 7), F(5, 4)), (F(1, 2), 3, F(2, 3)), (1, F(1, 5))
+        for mode, n in zip(order + order, (8, 20, 30, 12)):
+            fresh = (DegreeLoweringOperator(1, lambda k: k), DegreeLoweringOperator(2, lambda k: k * (k - 1)))
+            shared = (derivative_op(), second_derivative_op())
+            coeffs = [[float(c) for c in p] if mode is Mode.FLOAT else p for p in (A, B, C)]
+            assert self.results(*coeffs, mode, shared, n) == self.results(*coeffs, mode, fresh, n)
 
 
 def multiplication_operator():
