@@ -13,7 +13,9 @@ recurrence and structure-relation constant is a closed form: Koekoek, Lesky
 recurrence is the one generator of every family's polynomials.  The tests
 keep each family's hypergeometric series as the oracle: they hold every
 constant to an exact linear solve against the series polynomials, and the
-recurrence polynomials to the series themselves.
+recurrence polynomials to the series themselves.  Each (family, mode) keeps
+its polynomials in a tuple that a longer one replaces, never appended to,
+so concurrent batches read whole tables.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -223,42 +226,35 @@ def family_polynomial(f: Family, n: int, mode: Mode | None = None) -> Polynomial
 # The resolved mode is an argument, so it is part of the cache key:
 # Family(k, (2.25,)) and Family(k, (Fraction(9, 4),)) compare and hash equal.
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _family_table(f: Family, mode: Mode) -> list:
-    """[phi_0, .., phi_d] of the family in the mode, d the highest degree read so far."""
-    return [Polynomial.one(mode)]
+def _family_table(f: Family, mode: Mode) -> SimpleNamespace:
+    """The family's table in the mode: ``polys`` = (phi_0, .., phi_d), d the
+    highest degree read so far.  A reader that needs more extends a private
+    copy and replaces the tuple whole, so concurrent readers see whole tables."""
+    return SimpleNamespace(polys=(Polynomial.one(mode),))
 
 
 def _family_polynomial(f: Family, n: int, mode: Mode) -> Polynomial:
+    """phi_n, by phi_{m+1} = ((x - v_m) phi_m - w_m phi_{m-1}) / u_m on a copy of
+    the table; a FLOAT phi_{m+1} of the wrong degree or not finite stops it."""
     table = _family_table(f, mode)
-    if n < len(table) or mode is Mode.EXACT:
-        return _poly_by_recurrence(table, n, _typed_coeffs(f, mode))
-    error = ValidationError(f"{f.kind.value.capitalize()} coefficients of {f.spec_string()} leave the float range")
-
-    def check(m, poly):
-        if poly.degree != m or not all(map(math.isfinite, poly.coeffs)):
-            raise error
-
-    try:
-        return _poly_by_recurrence(table, n, _typed_coeffs(f, mode), check)
-    except ZeroDivisionError:  # a u_m that underflowed to 0
-        raise error from None
-
-
-def _poly_by_recurrence(table: list, n: int, uvw, check=None) -> Polynomial:
-    """phi_n, after extending ``table`` = [phi_0, .., phi_d] to degree n by
-    phi_{m+1} = ((x - v_m) phi_m - w_m phi_{m-1}) / u_m, (u_m, v_m, w_m) = uvw(m),
-    in the mode of phi_0.  ``check(m + 1, phi_{m+1})``, if given, may raise
-    before phi_{m+1} is stored."""
-    mode = table[0].mode
-    while len(table) <= n:
-        m = len(table) - 1
+    polys = table.polys
+    if n < len(polys):
+        return polys[n]
+    polys, uvw = list(polys), _typed_coeffs(f, mode)
+    for m in range(len(polys) - 1, n):
         u, v, w = uvw(m)
-        step = (Polynomial.x(mode) - Polynomial((v,), mode)) * table[m]
-        poly = (step - table[m - 1] * w if m else step) * (1 / u)
-        if check is not None:
-            check(m + 1, poly)
-        table.append(poly)
-    return table[n]
+        if mode is Mode.FLOAT and not u:  # a u_m that underflowed to 0
+            break
+        step = (Polynomial.x(mode) - Polynomial((v,), mode)) * polys[m]
+        poly = (step - polys[m - 1] * w if m else step) * (1 / u)
+        if mode is Mode.FLOAT and (poly.degree != m + 1 or not all(map(math.isfinite, poly.coeffs))):
+            break
+        polys.append(poly)
+    if len(polys) > len(table.polys):  # every table is a prefix of the same sequence
+        table.polys = tuple(polys)
+    if len(polys) <= n:
+        raise ValidationError(f"{f.kind.value.capitalize()} coefficients of {f.spec_string()} leave the float range")
+    return polys[n]
 
 
 def _check_bessel(f: Family, n: int) -> None:

@@ -614,11 +614,14 @@ def q_derivative_op(q) -> DegreeLoweringOperator:
     (q,), qmode = _typed((q,), None, "q")
     if q == 0 or q == 1:
         raise ValueError("q-derivative requires q not in {0, 1}")
-    one = to_mode(1, qmode)
+    lower = 1 - q
 
     def d(k: int):
+        if qmode is Mode.EXACT:  # (1 - q^k) / (1 - q) for q = a/b, in integers
+            a, b = q.numerator, q.denominator
+            return Fraction(b**k - a**k, (b - a) * b ** (k - 1)) if k else 0
         try:
-            return (one - q**k) / (one - q)
+            return (1 - q**k) / lower
         except OverflowError:  # a float q**k beyond the float range
             raise ValidationError(f"q-derivative coefficient d({k}) overflows for q = {q}") from None
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -354,6 +356,28 @@ class TestExpansionIdentity:
         for lvl in range(model.N):
             r = expansion_identity(model, lvl)
             assert r.max_residual <= r.rounding_bound
+
+    def test_levels_in_two_threads_stay_exact(self):
+        # Both levels read the Laguerre(1/2) table to degree 63; a switch
+        # interval of 1e-6 s interleaves the two builds of it.
+        model = build_morse_model("257/4")
+        opfamilies._family_table.cache_clear()
+        residuals = {}
+
+        def run(level):
+            residuals[level] = expansion_identity(model, level).max_residual
+
+        threads = [threading.Thread(target=run, args=(level,)) for level in (3, 40)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert residuals == {3: 0.0, 40: 0.0}
 
 
 class TestContinuum:

@@ -412,6 +412,29 @@ class TestCacheModes:
                     assert all(type(v) is want for v in family_polynomial(f, n).coeffs)
 
 
+class TestTableReplacedWhole:
+    def test_reentrant_read_keeps_every_degree(self, monkeypatch):
+        # A read of degree 6 made while degree 8 is being built (as a
+        # concurrent batch would) must leave phi_0 .. phi_8 as a cold build.
+        f = Family.laguerre(1)
+        opfamilies._family_table.cache_clear()
+        cold = [family_polynomial(f, n, Mode.EXACT) for n in range(9)]
+        opfamilies._family_table.cache_clear()
+        plain, reentered = recurrence_coeffs, []
+
+        def coeffs(g, n):
+            if g == f and n == 2 and not reentered:
+                reentered.append(n)
+                family_polynomial(f, 6, Mode.EXACT)
+            return plain(g, n)
+
+        monkeypatch.setattr(opfamilies, "recurrence_coeffs", coeffs)
+        family_polynomial(f, 8, Mode.EXACT)
+        assert reentered == [2]
+        assert [family_polynomial(f, n, Mode.EXACT) for n in range(9)] == cold
+        opfamilies._family_table.cache_clear()
+
+
 class TestBochner:
     def test_hermite_exact_zero(self):
         assert bochner_residual(Family.hermite(), 2, [F(1, 3), 2, F(-7, 4)]) == 0

@@ -181,7 +181,7 @@ class TestLoweringOperators:
     def test_nonzero_contract_checked_lazily(self):
         D = q_derivative_op(F(-1))  # d_2 = 0 surfaces only at degree 2
         D(Polynomial([0, 1]))
-        with pytest.raises(DegreeLoweringError):
+        with pytest.raises(DegreeLoweringError, match=r"d\(2\) = 0"):
             D(Polynomial([0, 0, 1]))
 
     def test_below_shift_must_vanish(self):
@@ -220,6 +220,19 @@ class TestLoweringOperators:
         assert type(derivative_op().coefficient(3)) is int
         with pytest.raises(ModeError):
             DegreeLoweringOperator(1, lambda k: F(k), mode=Mode.FLOAT).coefficient(1)
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(2, 3), F(3, 2), 2, F(-1, 3), F(5, 7), F(-7, 2)])
+    def test_exact_q_coefficients_are_the_textbook_fraction(self, q):
+        D, q = q_derivative_op(q), F(q)
+        for k in range(1, 80):
+            got, want = D.coefficient(k), (1 - q**k) / (1 - q)
+            assert got == want and type(got) is Fraction, k
+
+    @pytest.mark.parametrize("q", [0.5, 2 / 3, 1.5, 2.0, -1 / 3, 5 / 7, -3.5])
+    def test_float_q_coefficients_are_the_textbook_float(self, q):
+        D = q_derivative_op(q)
+        for k in range(1, 80):
+            assert D.coefficient(k).hex() == ((1.0 - q**k) / (1.0 - q)).hex(), k
 
     def test_float_coefficient_overflow_rejected(self):
         D = q_derivative_op(1e200)  # q**2 is beyond the float range
