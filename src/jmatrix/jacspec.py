@@ -1,17 +1,22 @@
 """Jacobi-operator analytics.
 
 Invariant-block detection along the off-diagonal, eigenpairs of finite
-blocks (LAPACK), an implicit-shift QL for the Gauss rules, forward
-evaluation of the associated recurrence polynomials, Gauss quadrature by
-the Golub-Welsch construction, adaptive integration helpers, and the
-boundedness heuristic used as a self-adjointness diagnostic.
+blocks (LAPACK), the eigenvalues and first eigenvector components the
+Gauss rules need (a root-free QL and the Christoffel function, with no
+eigenvector rotated and no n-by-n array built), forward evaluation of the
+associated recurrence polynomials, Gauss quadrature by the Golub-Welsch
+construction, adaptive integration helpers, and the boundedness heuristic
+used as a self-adjointness diagnostic.
 
 Every three-term recurrence in the package, x p_n = u_n p_{n+1} + v_n p_n
 + w_n p_{n-1}, runs through one kernel here: ``_recurrence`` for the
 values (exact, float or numpy, since it uses only + - * /) and
 ``_recurrence_log`` for (sign, log|p_n|) pairs.  This module imports only
 ``errors``, so ``opfamilies`` and ``morse`` call the kernel without an
-import cycle.
+import cycle.  The one exception is the Gauss-rule sweep
+``_log_first_components``: it runs the symmetric recurrence together with
+its derivative and running sums, rescaling each node on its own, which
+the kernel's value list cannot carry.
 
 Operations here are pure over immutable inputs; distinct blocks may be
 solved concurrently.  Sequence generators supplied to JacobiOperator must
@@ -50,7 +55,14 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_EPS2 = _EPS * _EPS
+_SAFMIN = float(np.finfo(float).tiny)
+# dsterf's window for the largest entry of a block: its squared entries
+# neither overflow nor lose their relative accuracy to underflow
+_SSFMAX = math.sqrt(1.0 / _SAFMIN) / 3.0
+_SSFMIN = math.sqrt(_SAFMIN) / _EPS2
 _QL_SWEEPS_PER_ROW = 30
+_SWEEP_CAP = 1e100  # the Christoffel sweep rescales a node before |p_k| + |p_k'| would pass this
 
 
 @dataclass(frozen=True)
@@ -161,22 +173,32 @@ def split_blocks(J: JacobiOperator, scan_to: int, tol: float = 1e-12) -> BlockDe
 def symmetric_tridiagonal_eig(diag: Sequence[float], off: Sequence[float]):
     """Eigenvalues and first eigenvector components of a symmetric tridiagonal matrix.
 
-    Implicit-shift QL that rotates only the n first eigenvector components,
-    held as Python floats: O(1) work per Givens rotation and O(n^2) in all.
-    That is all a Gauss rule needs (Golub and Welsch, Math. Comp. 23, 1969),
-    and unlike a dense solver it keeps the smallest weights accurate.
+    That is all a Gauss rule needs (Golub and Welsch, Math. Comp. 23, 1969).
+    The eigenvalues come from the root-free QL iteration of LAPACK ``dsterf``
+    (Pal, Walker and Kahan) on the squared off-diagonal, which rotates no
+    eigenvector.  The first components are those of the leading block, up
+    to the first off-diagonal entry that is exactly zero; they are
+    S(x)^(-1/2) with S = sum_{k<m} p_k(x)^2 over that block's m normalized
+    recurrence polynomials (``_log_first_components``).  Eigenvalues beyond
+    the leading block have first component 0.0.  For the Jacobi matrix of an
+    orthogonal-polynomial weight, as in a Gauss rule, no n-by-n array is
+    built: O(n^2) work in all, and small first components keep their
+    relative accuracy.  The forward recurrence is unstable where an
+    eigenvector decays away from row 0 (random diagonals, say); the sum of
+    the squared components then misses 1 by more than 8 m eps, and the
+    first row of LAPACK's eigenvectors of the leading block replaces them.
 
     Args:
         diag: diagonal entries, length n, finite.
         off: subdiagonal entries, length n - 1, finite.
 
     Returns:
-        (w, first): ascending eigenvalues and the first components of the
-        corresponding orthonormal eigenvectors.
+        (w, first): ascending eigenvalues and the first components, all >= 0,
+        of the corresponding orthonormal eigenvectors.
 
     Raises:
-        ValidationError: if ``off`` does not have length n - 1 or an entry
-            is not finite.
+        ValidationError: if ``off`` does not have length n - 1, an entry
+            is not finite, or an eigenvalue lies beyond the double range.
         ConvergenceError: if the sweep budget (30 * n) is exhausted, which
             signals pathological input.  It carries the index being
             deflated (``index``), ``sweeps`` against ``budget``, and the
@@ -189,59 +211,171 @@ def symmetric_tridiagonal_eig(diag: Sequence[float], off: Sequence[float]):
     if len(off) != n - 1:
         raise ValidationError(f"off-diagonal must have length n - 1 = {n - 1}, got {len(off)}")
     d = [float(v) for v in diag]
-    e = [float(v) for v in off] + [0.0]
+    e = [float(v) for v in off]
     if not all(map(math.isfinite, d + e)):
         raise ValidationError("diagonal and off-diagonal entries must be finite")
-    Z = [1.0] + [0.0] * (n - 1)  # Z[j]: first component of eigenvector j
-    budget = _QL_SWEEPS_PER_ROW * n
+    lead = e.index(0.0) + 1 if 0.0 in e else n
+    w = _root_free_ql(d, e, _QL_SWEEPS_PER_ROW * n)
+    if not all(map(math.isfinite, w)):
+        raise ValidationError("eigenvalues beyond the double range")
+    first = np.zeros(n)
+    first[:lead] = np.exp(_log_first_components(d[:lead], e[:lead - 1], np.array(w[:lead])))
+    if not abs(np.sum(first ** 2) - 1.0) <= 8 * lead * _EPS:
+        # an eigenvector decays away from row 0, where the forward recurrence
+        # is unstable: take the block's first row from LAPACK instead
+        V = np.linalg.eigh(np.diag(d[:lead]) + np.diag(e[:lead - 1], -1))[1]
+        first[np.argsort(w[:lead], kind="stable")] = np.abs(V[0])
+    order = np.argsort(w, kind="stable")
+    return np.array(w)[order], first[order]
+
+
+def _pow2_at_most(x: float) -> float:
+    """The largest power of two not above the positive float x."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
+
+
+def _root_free_ql(d: list, e: list, budget: int) -> list:
+    """Eigenvalues of the symmetric tridiagonal matrix (d, e), by ``dsterf``'s
+    root-free QL, in the order of the rows they deflate at.
+
+    The matrix splits where |e_m| <= eps sqrt|d_m| sqrt|d_{m+1}|.  Each
+    unreduced block is scaled by a power of two into [_SSFMIN, _SSFMAX], so
+    its squared entries neither overflow nor underflow, and iterates on
+    e_m^2 with Wilkinson's shift until e_m^2 <= eps^2 |d_m d_{m+1}|; a 2-by-2
+    remainder is solved in closed form.  Raises ConvergenceError once
+    ``budget`` sweeps are used (see ``symmetric_tridiagonal_eig``).
+    """
+    n = len(d)
+    d = list(d)
+    e2 = [0.0] * n
+    eps2 = _EPS2
     sweeps = 0
-    for l in range(n):
-        while True:
+    start = 0
+    while start < n:
+        end = start
+        while end < n - 1 and abs(e[end]) > _EPS * math.sqrt(abs(d[end])) * math.sqrt(abs(d[end + 1])):
+            end += 1
+        block, start = range(start, end + 1), end + 1
+        if len(block) == 1:
+            continue
+        anorm = max(max(abs(d[i]) for i in block), max(abs(e[i]) for i in block[:-1]))
+        scale = 1.0
+        if anorm > _SSFMAX:
+            scale = _pow2_at_most(_SSFMAX / anorm)
+        elif anorm < _SSFMIN:
+            scale = _pow2_at_most(_SSFMIN / anorm)
+        for i in block:
+            d[i] *= scale
+            e2[i] = (e[i] * scale) ** 2 if i < end else 0.0
+        l = block[0]
+        while l <= end:
             m = l
-            while m < n - 1 and abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])):
+            while m < end and e2[m] > eps2 * abs(d[m] * d[m + 1]):
                 m += 1
+            e2[m] = 0.0
             if m == l:
-                break
+                l += 1
+                continue
+            if m == l + 1:
+                # the closed form of a 2-by-2 block
+                mid, half = 0.5 * (d[l] + d[m]), 0.5 * math.hypot(d[l] - d[m], 2.0 * math.sqrt(e2[l]))
+                big = mid + math.copysign(half, mid)
+                d[l], d[m] = big, (d[l] * d[m] - e2[l]) / big if big else 0.0
+                l += 2
+                continue
             if sweeps == budget:
                 raise ConvergenceError(
                     f"QL iteration cap exceeded: {sweeps} of {budget} sweeps used, "
-                    f"index {l} still has |e| = {abs(e[l]):.3e}",
+                    f"index {l} still has |e| = {math.sqrt(e2[l]) / scale:.3e}",
                     index=l,
                     sweeps=sweeps,
                     budget=budget,
-                    off_diagonal=abs(e[l]),
+                    off_diagonal=math.sqrt(e2[l]) / scale,
                 )
             sweeps += 1
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
+            rte = math.sqrt(e2[l])
+            sigma = (d[l + 1] - d[l]) / (2.0 * rte)
+            sigma = d[l] - rte / (sigma + math.copysign(math.hypot(sigma, 1.0), sigma))
+            c, s = 1.0, 0.0
+            gamma = d[m] - sigma
+            p = gamma * gamma
             for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                bb = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * bb
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - bb
-                Z[i + 1], Z[i] = s * Z[i] + c * Z[i + 1], c * Z[i] - s * Z[i + 1]
-            if not underflow:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    order = np.argsort(d, kind="stable")
-    return np.array(d)[order], np.array(Z)[order]
+                bb = e2[i]
+                r = p + bb
+                e2[i + 1] = s * r  # 0.0 at i = m - 1, where e2[m] is already 0.0
+                oldc, c, s = c, p / r, bb / r
+                alpha, oldgam = d[i], gamma
+                gamma = c * (alpha - sigma) - s * oldgam
+                d[i + 1] = oldgam + (alpha - gamma)
+                p = gamma * gamma / c if c != 0.0 else oldc * bb
+            e2[l] = s * p
+            d[l] = sigma + gamma
+        for i in block:
+            d[i] /= scale
+    return d
+
+
+def _log_first_components(diag: list, off: list, x: np.ndarray) -> np.ndarray:
+    """log of the first eigenvector components at the eigenvalues x of the
+    unreduced symmetric tridiagonal matrix (diag, off), off free of zeros.
+
+    The first component at an eigenvalue x is S(x)^(-1/2), where
+    S = sum_{k<m} p_k(x)^2 over the normalized recurrence
+    x p_k = off_k p_{k+1} + diag_k p_k + off_{k-1} p_{k-1}, p_0 = 1.  One
+    sweep over all x carries p_k, p_k', S and S'.  It works on the matrix
+    scaled by a power of two to max|entry| <= 1, so |x - diag_k| <= 4, and
+    rescales a column before |p_{k+1}| + |p_{k+1}'| would pass _SWEEP_CAP,
+    carrying the logarithm of the divisor: nothing overflows for finite
+    entries.  (An off entry that the scaling would flush to zero is read as
+    the smallest double instead, a change below 2^-1074 of max|entry|.)
+    At the end q = off_{m-1} p_m and q' give the Newton step h = -q/q'
+    that would move x onto the zero of p_m, and log S is corrected to
+    first order, by h S'/S.
+    """
+    m = len(diag)
+    anorm = max(max(map(abs, diag)), max(map(abs, off), default=0.0))
+    scale = math.ldexp(1.0, -math.frexp(anorm)[1]) if anorm >= 1.0 else 1.0
+    d = [v * scale for v in diag]
+    e = [v * scale or math.copysign(math.ulp(0.0), v) for v in off] + [0.0]
+    x = x * scale
+    # Two buffers hold the sweep's arrays and each step writes into them, so
+    # a step allocates nothing (but a rescaling) and leaves no freed small
+    # arrays of every rule size behind in numpy's buffer cache.
+    p_prev, p, dp_prev, dp, S, dS, shift = np.zeros((7, x.size))
+    p += 1.0
+    S += 1.0
+    xd, q, dq, t = np.empty((4, x.size))
+    for k in range(m):
+        np.subtract(x, d[k], out=xd)
+        np.multiply(xd, p, out=q)
+        q -= np.multiply(p_prev, e[k - 1], out=t)
+        np.multiply(xd, dp, out=dq)
+        dq += p
+        dq -= np.multiply(dp_prev, e[k - 1], out=t)
+        if k == m - 1:
+            break
+        div = e[k]
+        size = np.abs(q, out=t)
+        size += np.abs(dq, out=xd)
+        if size.max() > _SWEEP_CAP * abs(div):
+            over = size > _SWEEP_CAP * abs(div)
+            div = np.where(over, math.copysign(1.0, div) * size, div)
+            shift += np.log(np.abs(div)) - math.log(abs(e[k]))
+            c = abs(e[k]) / np.abs(div)
+            p *= c
+            dp *= c
+            S *= c * c
+            dS *= c * c
+        # p_{k+1} and p_{k+1}' go where p_{k-1} and p_{k-1}' were
+        p_prev, p = p, np.divide(q, div, out=p_prev)
+        dp_prev, dp = dp, np.divide(dq, div, out=dp_prev)
+        S += np.multiply(p, p, out=t)
+        dS += np.multiply(p, dp, out=t)
+    # Where the recurrence is unstable, S can underflow to 0.0 and q' too;
+    # the caller's sum check rejects what that leaves (inf or nan).
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h = -q / dq
+        return -0.5 * np.log(S) - shift - h * dS / S
 
 
 def eig_block(J: JacobiOperator, block: tuple[int, int]) -> SpectrumResult:
@@ -399,9 +533,12 @@ def golub_welsch(J: JacobiOperator, n: int, total_mass: float) -> QuadratureRule
     """Gauss rule from the n-by-n truncation of a Jacobi operator.
 
     Nodes are the truncation's eigenvalues; the weight at node i is
-    total_mass times the squared first component of its eigenvector.  The
-    QL solver rotates only those first components, so a rule costs O(n^2)
-    work; dense LAPACK, whose components err by about eps, loses small weights.
+    total_mass times the squared first component of its eigenvector.
+    ``symmetric_tridiagonal_eig`` takes the nodes from a root-free QL and
+    the first components from the Christoffel function, so a rule costs
+    O(n^2) work and each weight keeps its relative accuracy through the
+    normal double range.  A weight that underflows to 0.0 is a
+    ValidationError that names n and the smallest log-weight.
     """
     if n < 1:
         raise ValidationError("rule size must be at least 1")
@@ -411,6 +548,13 @@ def golub_welsch(J: JacobiOperator, n: int, total_mass: float) -> QuadratureRule
         raise ValidationError("Golub-Welsch requires positive off-diagonal entries")
     w, first = symmetric_tridiagonal_eig(d, e)
     weights = total_mass * first ** 2
+    if total_mass > 0 and not np.all(weights > 0):
+        # with e > 0 every first component is positive, so a zero weight underflowed
+        log_weights = math.log(total_mass) + 2.0 * _log_first_components(d, e, w)
+        raise ValidationError(
+            f"Gauss rule weights underflow the double range at n = {n}: "
+            f"smallest log-weight {np.min(log_weights):.2f}"
+        )
     return QuadratureRule(nodes=w, weights=weights, total_mass=float(total_mass))
 
 

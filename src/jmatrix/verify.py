@@ -69,18 +69,18 @@ def random_strict_operator(rng: random.Random, index: int, depth: int = 24) -> T
 
 
 def _done(name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
-    return CriterionResult(name=name, passed=passed, detail=detail, elapsed=time.time() - t0)
+    return CriterionResult(name=name, passed=passed, detail=detail, elapsed=time.perf_counter() - t0)
 
 
 def tridiagonal_relation() -> CriterionResult:
     """200 random strict operators: band relation coefficient-exact for n <= 24."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(20100104)
     for i in range(200):
         op = random_strict_operator(rng, i)
         tri = tridiagonalize(op, 25)
         tri.verify(op)  # raises on any nonzero exact residual
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     return _done(
         "tridiagonal-relation",
         elapsed < 60.0,
@@ -91,7 +91,7 @@ def tridiagonal_relation() -> CriterionResult:
 
 def anticommutator() -> CriterionResult:
     """(D X + X D) x^n = L x^n exactly for n <= 20, 50 random operators."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(42)
     x = Polynomial.x()
     for i in range(50):
@@ -107,7 +107,7 @@ def anticommutator() -> CriterionResult:
 
 def morse_bound_states() -> CriterionResult:
     """Block eigenvalues equal -(b-m-1/2)^2 within 1e-10 for four b values."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     dims = []
     for b in (1.2, 2.25, 3.8, 5.7):
@@ -117,7 +117,7 @@ def morse_bound_states() -> CriterionResult:
         dims.append(model.N)
         if model.N:
             worst = max(worst, max(abs(x - e) for x, e in zip(result.eigenvalues, expected)))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     passed = worst <= 1e-10 and max(dims) <= 6 and elapsed < 1.0
     return _done(
         "morse-bound-states",
@@ -130,7 +130,7 @@ def morse_bound_states() -> CriterionResult:
 def morse_action() -> CriterionResult:
     """Pointwise operator identity, its residual over its rounding scale
     <= 1e-12, for n <= 8 at b = 2.25."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     model = morse.build_morse_model("9/4")
     worst = float(np.max([morse.action_residual(model, n) for n in range(9)]))  # NaN stays NaN
     return _done("morse-action", worst <= 1e-12, f"max residual ratio {worst:.2e} (tol 1e-12)", t0)
@@ -138,7 +138,7 @@ def morse_action() -> CriterionResult:
 
 def morse_expansion() -> CriterionResult:
     """Expansion identity with its constant: exact zero residual, N in 1..4."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     for b in ("1", "9/4", "13/5", "19/5"):
         model = morse.build_morse_model(b)
         for level in range(model.N):
@@ -152,7 +152,7 @@ def morse_expansion() -> CriterionResult:
 
 def morse_parseval() -> CriterionResult:
     """Continuum orthonormality within 1e-7 for n, m <= 8 (1e-8 at n = m = 0)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     model = morse.build_morse_model("9/4")
     worst = 0.0
     for n in range(9):
@@ -162,7 +162,7 @@ def morse_parseval() -> CriterionResult:
             if n == m2 == 0 and err > 1e-8:
                 return _done("morse-parseval", False, f"(0,0) error {err:.2e} > 1e-8", t0)
             worst = max(worst, err)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     return _done(
         "morse-parseval",
         worst <= 1e-7 and elapsed < 30.0,
@@ -176,7 +176,7 @@ _LAME_MODELS = ((3, -1, -2), (1, -1, 0), (5, -2, -3))
 
 def lame_tridiag() -> CriterionResult:
     """Chebyshev band residual is the exact zero polynomial for n <= 20."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     for es, m in zip(_LAME_MODELS, (2, 3, Fraction(5, 2))):
         model = lame.build_lame_model(*es, m)
         for n in range(21):
@@ -191,7 +191,7 @@ def lame_even_spectra() -> CriterionResult:
     unsymmetrized matrix (a general eigensolver on another matrix than
     ``even_spectrum`` solves and checks), with imaginary parts below that
     bound, and eigenfunction residuals over their rounding scale <= 1e-12."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     residuals = []
     for es in ((3, -1, -2), (5, -2, -3), (1, -1, 0)):
         for k in range(7):
@@ -218,7 +218,7 @@ def lame_even_spectra() -> CriterionResult:
 def lame_asymptotics() -> CriterionResult:
     """Fitted leading coefficient of a_n + a_{n-1} +/- b_n over n = 100..500
     matches (1 -+ alpha) to relative 1e-3; the diagnostic selects a branch."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cases = [
         ((3, -1, -2), -1.5),
         ((Fraction(9, 20), Fraction(-11, 20), Fraction(1, 10)), 0.3),
@@ -248,7 +248,7 @@ def lame_asymptotics() -> CriterionResult:
 def weight_ode() -> CriterionResult:
     """Log-derivative residues: -1/2 at {1, -1, alpha} (Lame) and {1, -1}
     (Chebyshev), exactly."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     half = Fraction(-1, 2)
     cheb = validate_td(
         Polynomial([1, 0, -1]), Polynomial([0, -1]), Polynomial([]),
@@ -288,7 +288,7 @@ def _exact_moment(kind: str, j: int) -> float:
 def quadrature() -> CriterionResult:
     """Gauss rules of size n <= 20 integrate degree-(2n-1) monomials to
     relative 1e-12, for four classical recurrences."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     fams = {
         "legendre": Family.jacobi(0, 0),
         "chebyshev": Family.chebyshev_t(),

@@ -258,6 +258,20 @@ class TestOtherCommands:
         assert out == "" and err == f"error: {quantity} leave the float range\n"
 
     @pytest.mark.parametrize(
+        "family, n, smallest",
+        [("laguerre:0", 200, "-764.43"), ("hermite", 400, "-767.46")],
+    )
+    def test_weight_underflow_names_n_and_the_smallest_log_weight(self, capsys, family, n, smallest):
+        # exit 1 with nothing on stdout, as the corpus pins; the one line
+        # says why: the smallest weight lies below the double range
+        assert main(["quad", "--family", family, "--n", str(n)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: Gauss rule weights underflow the double range at n = {n}: smallest log-weight {smallest}\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv, cap",
         [
             (["quad", "--family", "hermite", "--n", "1001"], 1000),

@@ -1,7 +1,9 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,16 +27,19 @@ from jmatrix.opfamilies import Family, FamilyKind, family_jacobi_operator
 from test_opfamilies import hexes
 
 
+EPS = float(np.finfo(float).eps)
+
+
 def const_op(a_seq, b_seq):
     return JacobiOperator.from_sequences(a_seq, b_seq)
 
 
 def full_vector_ql(diag, off):
-    """The oracle: implicit-shift QL that rotates whole eigenvectors, O(n^3).
+    """The oracle: implicit-shift QL with Givens rotations of whole eigenvectors, O(n^3).
 
-    Its rotations are those of ``symmetric_tridiagonal_eig``, applied to
-    two rows of an n-by-n array instead of two first components.  Returns
-    ascending eigenvalues and the eigenvectors as columns.
+    It shares no code with ``symmetric_tridiagonal_eig``, whose root-free QL
+    rotates no vector and whose first components come from the recurrence.
+    Returns ascending eigenvalues and the eigenvectors as columns.
     """
     n = len(diag)
     d = [float(v) for v in diag]
@@ -149,7 +154,8 @@ class TestEigBlock:
         assert np.allclose(r.eigenvalues, [-3.0625, -0.5625], atol=1e-12)
 
     def test_random_blocks_match_dense_oracle(self):
-        # the QL oracle and the first-component QL against LAPACK
+        # the QL oracle against LAPACK, then the root-free QL and the
+        # Christoffel first components against the oracle
         rng = random.Random(31)
         for _ in range(12):
             n = 8
@@ -160,15 +166,49 @@ class TestEigBlock:
             w_ref = np.linalg.eigh(M)[0]
             assert np.max(np.abs(w - w_ref)) <= 1e-11 * max(1.0, np.max(np.abs(w_ref)))
             assert np.max(np.abs(M @ V - V @ np.diag(w))) <= 1e-10
-            assert np.array_equal(symmetric_tridiagonal_eig(d, e)[0], w)
+            w_new, first = symmetric_tridiagonal_eig(d, e)
+            assert np.max(np.abs(w_new - w)) <= 8 * EPS * np.max(np.abs(w))
+            assert np.max(np.abs(first - np.abs(V[0]))) <= 1e-14
 
     def test_sign_flip_similarity_invariance(self):
+        # D J D with D = diag(+-1) is J with off-diagonal signs flipped: the
+        # QL reads e^2, and the recurrence flips the sign of p_k exactly
         rng = random.Random(13)
-        d = [rng.uniform(-2, 2) for _ in range(7)]
-        e = [rng.uniform(0.1, 1.5) for _ in range(6)]
-        w1, _ = symmetric_tridiagonal_eig(d, e)
-        w2, _ = symmetric_tridiagonal_eig(d, [-x for x in e])
-        assert np.max(np.abs(np.array(w1) - np.array(w2))) <= 1e-11
+        d, e = block_bands(family_jacobi_operator(Family.jacobi(Fraction(1, 2), Fraction(-1, 4)))[0], (0, 100))
+        w, first = symmetric_tridiagonal_eig(d, e)
+        for flipped in ([-x for x in e], [rng.choice((-1, 1)) * x for x in e]):
+            w_f, first_f = symmetric_tridiagonal_eig(d, flipped)
+            assert np.array_equal(w_f, w) and np.array_equal(first_f, first)
+
+    def test_zero_off_diagonal_splits_at_the_first(self):
+        # blocks [0, 5), [5, 9) and [9, 14): eigenvalues of all three, first
+        # components from the leading block alone and 0.0 beyond it
+        rng = random.Random(23)
+        d = [rng.uniform(-3, 3) for _ in range(14)]
+        e = [rng.uniform(0.2, 2.0) for _ in range(13)]
+        e[4] = e[8] = 0.0
+        w, first = symmetric_tridiagonal_eig(d, e)
+        w_ref = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        assert np.max(np.abs(w - w_ref)) <= 8 * EPS * np.max(np.abs(w_ref))
+        w_lead, first_lead = symmetric_tridiagonal_eig(d[:5], e[:4])
+        in_lead = np.isin(w, w_lead)
+        assert in_lead.sum() == 5
+        assert np.array_equal(first[in_lead], first_lead)
+        assert np.all(first[~in_lead] == 0.0)
+        assert abs(np.sum(first ** 2) - 1.0) <= 1e-14
+
+    def test_unstable_recurrence_falls_back_to_lapack(self):
+        # random diagonals localize eigenvectors, and the forward recurrence
+        # loses the ones that decay away from row 0; the sum check catches it
+        rng = random.Random(47)
+        d = [rng.uniform(-5, 5) for _ in range(60)]
+        e = [rng.uniform(0.1, 3.0) for _ in range(59)]
+        log_first = jacspec._log_first_components(d, e, np.linalg.eigvalsh(np.diag(d) + np.diag(e, -1)))
+        assert not abs(np.sum(np.exp(2 * log_first)) - 1.0) <= 0.5
+        w, first = symmetric_tridiagonal_eig(d, e)
+        w_ref, V = np.linalg.eigh(np.diag(d) + np.diag(e, -1))
+        assert np.max(np.abs(w - w_ref)) <= 60 * EPS * np.max(np.abs(w_ref))  # n eps max|x|, n = 60
+        assert np.max(np.abs(first - np.abs(V[0]))) <= 1e-14
 
 
 class TestEigInputs:
@@ -184,6 +224,23 @@ class TestEigInputs:
     def test_non_finite_rejected(self, diag, off):
         with pytest.raises(ValidationError, match="finite"):
             symmetric_tridiagonal_eig(diag, off)
+
+    @pytest.mark.parametrize(
+        "diag, off",
+        [([1e300, 2e300, -1e300], [1e300, 1e-300]), ([0.0] * 5, [5e-324] * 4),
+         ([1e-310, -1e-310, 3e-310], [2e-310, 1e-311]), ([1e200, -1e200, 1e-200, 3.0], [1e-200, 1e200, 1.0])],
+    )
+    def test_entries_across_the_double_range(self, diag, off):
+        # squared entries neither overflow nor flush to zero, and the sweep
+        # neither overflows nor divides by an off entry its scaling flushed
+        w, first = symmetric_tridiagonal_eig(diag, off)
+        w_ref, V = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+        assert np.max(np.abs(w - w_ref)) <= 8 * EPS * np.max(np.abs(w_ref))
+        assert np.max(np.abs(first - np.abs(V[0]))) <= 1e-14
+
+    def test_eigenvalues_beyond_the_double_range_rejected(self):
+        with pytest.raises(ValidationError, match="beyond the double range"):
+            symmetric_tridiagonal_eig([-1.7e308, 1.7e308], [1.7e308])
 
     def test_empty(self):
         w, first = symmetric_tridiagonal_eig([], [])
@@ -385,18 +442,80 @@ class TestGolubWelsch:
         ids=["jacobi", "laguerre", "hermite", "chebyshev_t"],
     )
     def test_first_row_path_matches_full_vectors(self, family, n):
-        # the rule rotates only first components; the rotations are the
-        # same as in the full-vector oracle, so the results agree bit for bit
+        # two backward-stable solvers: eigenvalues within the n eps ||T||
+        # form of the classical bound (20 eps max|x| is the worst seen, at
+        # n = 256), first components within 1e-12 absolute
         J, mass = family_jacobi_operator(family)
         d, e = block_bands(J, (0, n))
         w, V = full_vector_ql(d, e)
-        w_first, first = symmetric_tridiagonal_eig(d, e)
-        assert np.array_equal(w_first, w) and np.array_equal(first, V[0])
+        w_new, first = symmetric_tridiagonal_eig(d, e)
+        assert np.max(np.abs(w_new - w)) <= n * EPS * np.max(np.abs(w))
+        assert np.max(np.abs(first - np.abs(V[0]))) <= 1e-12
         if family.kind is FamilyKind.LAGUERRE and n == 256:
             return  # its smallest weights underflow to 0, so there is no rule
         rule = golub_welsch(J, n, mass)
-        assert np.array_equal(rule.nodes, w)
-        assert np.array_equal(rule.weights, mass * V[0] ** 2)
+        assert np.array_equal(rule.nodes, w_new)
+        assert np.array_equal(rule.weights, mass * first ** 2)
+
+    @pytest.mark.parametrize("n", [16, 100, 232, 256])
+    def test_chebyshev_weights_against_the_closed_form(self, n):
+        # w_k = pi / n at every node x_k = cos((2k + 1) pi / 2n)
+        J, mass = family_jacobi_operator(Family.chebyshev_t())
+        rule = golub_welsch(J, n, mass)
+        assert np.max(np.abs(rule.weights * n / math.pi - 1.0)) <= 2e-13
+        want = np.sort(np.cos((2 * np.arange(n) + 1) * math.pi / (2 * n)))
+        assert np.max(np.abs(rule.nodes - want)) <= 8 * EPS
+
+    def test_laguerre_weights_against_mpmath(self):
+        # Laguerre(0), n = 180: each node polished by Newton steps on the
+        # recurrence in 60 digits, and its Christoffel weight 1 / sum p_k^2
+        n = 180
+        J, mass = family_jacobi_operator(Family.laguerre(0))
+        rule = golub_welsch(J, n, mass)
+        with mpmath.workdps(60):
+            for i in (0, 1, 90):
+                x = mpmath.mpf(float(rule.nodes[i]))
+                for _ in range(4):
+                    p_prev, p, dp_prev, dp, total = 0, mpmath.mpf(1), 0, 0, 0
+                    for k in range(n):
+                        total += p * p
+                        # (k + 1) p_{k+1} = (x - 2k - 1) p_k - k p_{k-1}, orthonormal for alpha = 0
+                        p_prev, p, dp_prev, dp = (
+                            p, ((x - 2 * k - 1) * p - k * p_prev) / (k + 1),
+                            dp, (p + (x - 2 * k - 1) * dp - k * dp_prev) / (k + 1),
+                        )
+                    x -= p / dp
+                assert abs(rule.nodes[i] - float(x)) <= 8 * EPS * rule.nodes[-1]
+                assert abs(rule.weights[i] * total - 1) <= 1e-12
+
+    @pytest.mark.parametrize("family, n, smallest", [
+        (Family.laguerre(0), 200, "-764.43"), (Family.hermite(), 400, "-767.46"),
+        (Family.laguerre(0), 1000, "-3939.32"),
+    ])
+    def test_weight_underflow_names_n_and_the_smallest_log_weight(self, family, n, smallest):
+        # at Laguerre(0) n = 1000, p_k grows about 4000-fold per step near the
+        # top node: the sweep rescales before anything overflows
+        J, mass = family_jacobi_operator(family)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                golub_welsch(J, n, mass)
+        assert str(info.value) == (
+            f"Gauss rule weights underflow the double range at n = {n}: smallest log-weight {smallest}"
+        )
+
+    @pytest.mark.parametrize("family, n", [
+        (Family.jacobi(0, 0), 1000), (Family.jacobi(Fraction(-4, 5), 3), 256), (Family.laguerre(Fraction(-1, 2)), 180),
+        (Family.hermite(), 256), (Family.chebyshev_t(), 256),
+    ])
+    def test_rules_build_no_dense_matrix(self, family, n, monkeypatch):
+        # the Christoffel first components pass their sum check: no LAPACK fallback
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        J, mass = family_jacobi_operator(family)
+        assert golub_welsch(J, n, mass).nodes.shape == (n,)
 
     def test_legendre_1000_against_numpy(self):
         J, mass = family_jacobi_operator(Family.jacobi(0, 0))
