@@ -180,13 +180,16 @@ def symmetric_tridiagonal_eig(diag: Sequence[float], off: Sequence[float]):
     to the first off-diagonal entry that is exactly zero; they are
     S(x)^(-1/2) with S = sum_{k<m} p_k(x)^2 over that block's m normalized
     recurrence polynomials (``_log_first_components``).  Eigenvalues beyond
-    the leading block have first component 0.0.  For the Jacobi matrix of an
-    orthogonal-polynomial weight, as in a Gauss rule, no n-by-n array is
-    built: O(n^2) work in all, and small first components keep their
-    relative accuracy.  The forward recurrence is unstable where an
-    eigenvector decays away from row 0 (random diagonals, say); the sum of
-    the squared components then misses 1 by more than 8 m eps, and the
-    first row of LAPACK's eigenvectors of the leading block replaces them.
+    the leading block have first component 0.0.  No n-by-n array is built
+    and the work is O(n^2) when every component passes two checks: a
+    per-node estimate of the error the forward recurrence leaves in S
+    (below eps), and the sum of the squared components (within 8 m eps
+    of 1).  Such a component keeps its relative accuracy however small it
+    is; the classical families' Jacobi matrices pass both.  The forward
+    recurrence is unstable where an eigenvector decays away from row 0
+    (random diagonals, say); if any component fails a check, the first row
+    of LAPACK's eigenvectors of the leading block replaces them all, with
+    LAPACK's absolute accuracy.
 
     Args:
         diag: diagonal entries, length n, finite.
@@ -219,8 +222,9 @@ def symmetric_tridiagonal_eig(diag: Sequence[float], off: Sequence[float]):
     if not all(map(math.isfinite, w)):
         raise ValidationError("eigenvalues beyond the double range")
     first = np.zeros(n)
-    first[:lead] = np.exp(_log_first_components(d[:lead], e[:lead - 1], np.array(w[:lead])))
-    if not abs(np.sum(first ** 2) - 1.0) <= 8 * lead * _EPS:
+    log_first, trusted = _log_first_components(d[:lead], e[:lead - 1], np.array(w[:lead]))
+    first[:lead] = np.exp(log_first)
+    if not (trusted.all() and abs(np.sum(first ** 2) - 1.0) <= 8 * lead * _EPS):
         # an eigenvector decays away from row 0, where the forward recurrence
         # is unstable: take the block's first row from LAPACK instead
         V = np.linalg.eigh(np.diag(d[:lead]) + np.diag(e[:lead - 1], -1))[1]
@@ -248,7 +252,6 @@ def _root_free_ql(d: list, e: list, budget: int) -> list:
     n = len(d)
     d = list(d)
     e2 = [0.0] * n
-    eps2 = _EPS2
     sweeps = 0
     start = 0
     while start < n:
@@ -270,7 +273,7 @@ def _root_free_ql(d: list, e: list, budget: int) -> list:
         l = block[0]
         while l <= end:
             m = l
-            while m < end and e2[m] > eps2 * abs(d[m] * d[m + 1]):
+            while m < end and e2[m] > _EPS2 * abs(d[m] * d[m + 1]):
                 m += 1
             e2[m] = 0.0
             if m == l:
@@ -315,33 +318,43 @@ def _root_free_ql(d: list, e: list, budget: int) -> list:
     return d
 
 
-def _log_first_components(diag: list, off: list, x: np.ndarray) -> np.ndarray:
+def _log_first_components(diag: list, off: list, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log of the first eigenvector components at the eigenvalues x of the
-    unreduced symmetric tridiagonal matrix (diag, off), off free of zeros.
+    unreduced symmetric tridiagonal matrix (diag, off), off free of zeros,
+    and a mask of the components whose recurrence passes its error check.
 
     The first component at an eigenvalue x is S(x)^(-1/2), where
     S = sum_{k<m} p_k(x)^2 over the normalized recurrence
     x p_k = off_k p_{k+1} + diag_k p_k + off_{k-1} p_{k-1}, p_0 = 1.  One
-    sweep over all x carries p_k, p_k', S and S'.  It works on the matrix
-    scaled by a power of two to max|entry| <= 1, so |x - diag_k| <= 4, and
-    rescales a column before |p_{k+1}| + |p_{k+1}'| would pass _SWEEP_CAP,
-    carrying the logarithm of the divisor: nothing overflows for finite
-    entries.  (An off entry that the scaling would flush to zero is read as
-    the smallest double instead, a change below 2^-1074 of max|entry|.)
-    At the end q = off_{m-1} p_m and q' give the Newton step h = -q/q'
-    that would move x onto the zero of p_m, and log S is corrected to
-    first order, by h S'/S.
+    sweep over all x carries p_k, p_k', S, S' and S2 = sum p_k'^2.  It works
+    on the matrix scaled by a power of two to max|entry| <= 1, so
+    |x - diag_k| <= 4, and rescales a column before |p_{k+1}| + |p_{k+1}'|
+    would pass _SWEEP_CAP, carrying the logarithm of the divisor: nothing
+    overflows for finite entries.  (An off entry that the scaling would
+    flush to zero is read as the smallest double instead, a change below
+    2^-1074 of max|entry|.)  At the end q = off_{m-1} p_m and q' give the
+    Newton step h = -q/q' that would move x onto the zero of p_m, and log S
+    is corrected to first order, by h S'/S.
+
+    The check: both the distance h to the zero and the rounding of each
+    step, about 4 eps in the scaled units, move x, and the change of p
+    they bring is about that shift times p'.  Its square leaves an error
+    of (|h| + 4 eps)^2 S2 / S in S, beyond what the first-order step
+    removes; a component is trusted if that is at most eps.  Past the
+    peak of an eigenvector that decays away from row 0, p' follows the
+    growing solution of the recurrence while p decays, and the estimate
+    grows with it.
     """
     m = len(diag)
     anorm = max(max(map(abs, diag)), max(map(abs, off), default=0.0))
-    scale = math.ldexp(1.0, -math.frexp(anorm)[1]) if anorm >= 1.0 else 1.0
+    scale = _pow2_at_most(1.0 / anorm) if anorm >= 1.0 else 1.0
     d = [v * scale for v in diag]
     e = [v * scale or math.copysign(math.ulp(0.0), v) for v in off] + [0.0]
     x = x * scale
     # Two buffers hold the sweep's arrays and each step writes into them, so
     # a step allocates nothing (but a rescaling) and leaves no freed small
     # arrays of every rule size behind in numpy's buffer cache.
-    p_prev, p, dp_prev, dp, S, dS, shift = np.zeros((7, x.size))
+    p_prev, p, dp_prev, dp, S, dS, S2, shift = np.zeros((8, x.size))
     p += 1.0
     S += 1.0
     xd, q, dq, t = np.empty((4, x.size))
@@ -364,18 +377,22 @@ def _log_first_components(diag: list, off: list, x: np.ndarray) -> np.ndarray:
             c = abs(e[k]) / np.abs(div)
             p *= c
             dp *= c
-            S *= c * c
-            dS *= c * c
+            c *= c
+            S *= c
+            dS *= c
+            S2 *= c
         # p_{k+1} and p_{k+1}' go where p_{k-1} and p_{k-1}' were
         p_prev, p = p, np.divide(q, div, out=p_prev)
         dp_prev, dp = dp, np.divide(dq, div, out=dp_prev)
         S += np.multiply(p, p, out=t)
         dS += np.multiply(p, dp, out=t)
+        S2 += np.multiply(dp, dp, out=t)
     # Where the recurrence is unstable, S can underflow to 0.0 and q' too;
-    # the caller's sum check rejects what that leaves (inf or nan).
+    # the nan or inf that leaves fails the check.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         h = -q / dq
-        return -0.5 * np.log(S) - shift - h * dS / S
+        trusted = (np.abs(h) + 4 * _EPS) ** 2 * S2 <= _EPS * S
+        return -0.5 * np.log(S) - shift - h * dS / S, trusted
 
 
 def eig_block(J: JacobiOperator, block: tuple[int, int]) -> SpectrumResult:
@@ -536,9 +553,12 @@ def golub_welsch(J: JacobiOperator, n: int, total_mass: float) -> QuadratureRule
     total_mass times the squared first component of its eigenvector.
     ``symmetric_tridiagonal_eig`` takes the nodes from a root-free QL and
     the first components from the Christoffel function, so a rule costs
-    O(n^2) work and each weight keeps its relative accuracy through the
-    normal double range.  A weight that underflows to 0.0 is a
-    ValidationError that names n and the smallest log-weight.
+    O(n^2) work.  For the classical families' recurrences every first
+    component passes its error checks, and each weight keeps its relative
+    accuracy through the normal double range; other Jacobi matrices may
+    get LAPACK's first row, accurate relative to the largest weight only.
+    A weight that underflows to 0.0 is a ValidationError that names n and
+    the smallest log-weight.
     """
     if n < 1:
         raise ValidationError("rule size must be at least 1")
@@ -550,7 +570,7 @@ def golub_welsch(J: JacobiOperator, n: int, total_mass: float) -> QuadratureRule
     weights = total_mass * first ** 2
     if total_mass > 0 and not np.all(weights > 0):
         # with e > 0 every first component is positive, so a zero weight underflowed
-        log_weights = math.log(total_mass) + 2.0 * _log_first_components(d, e, w)
+        log_weights = math.log(total_mass) + 2.0 * _log_first_components(d, e, w)[0]
         raise ValidationError(
             f"Gauss rule weights underflow the double range at n = {n}: "
             f"smallest log-weight {np.min(log_weights):.2f}"
